@@ -23,6 +23,10 @@ Environment knobs:
 Each run additionally drops a machine-readable ``BENCH_<figure>.json``
 next to the working directory (wall time, backend, query counts, series)
 so the performance trajectory can be compared across commits and backends.
+The record's ``backend`` is the storage backend the figure's databases
+actually ran on (``+``-joined when one figure used several, including
+online re-shards), stamped with the git sha, CPU count and python/numpy
+versions of the run.
 """
 
 from __future__ import annotations
@@ -30,13 +34,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
+import subprocess
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.hiddendb.backends import get_default_backend, set_default_backend
-from repro.hiddendb.store import get_data_plane
+from repro.hiddendb.backends import set_default_backend
+from repro.hiddendb.store import TupleStore, get_data_plane
 from repro.obs import OBS
 
 #: Fraction of the paper's dataset sizes used by default.
@@ -73,7 +81,51 @@ def _json_safe(value):
     return value
 
 
-def _write_bench_json(request, figure, wall_seconds: float) -> None:
+@contextmanager
+def _backends_used():
+    """Collect the backend of every store built or migrated in the block."""
+    used: set[str] = set()
+    init, migrate = TupleStore.__init__, TupleStore.migrate_backend
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        used.add(self.backend_name)
+
+    def tracked_migrate(self, *args, **kwargs):
+        name = migrate(self, *args, **kwargs)
+        used.add(self.backend_name)
+        return name
+
+    TupleStore.__init__ = tracked_init
+    TupleStore.migrate_backend = tracked_migrate
+    try:
+        yield used
+    finally:
+        TupleStore.__init__ = init
+        TupleStore.migrate_backend = migrate
+
+
+def _provenance() -> dict:
+    """What ran: git sha (``unknown`` outside a checkout), CPU count and
+    interpreter/numpy versions."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = ""
+    return {
+        "git_sha": sha or "unknown",
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _write_bench_json(
+    request, figure, wall_seconds: float, backends: set[str]
+) -> None:
     """Persist one benchmark's result as ``BENCH_<figure>.json``."""
     module = request.node.module.__name__
     stem = module[len("bench_"):] if module.startswith("bench_") else module
@@ -81,7 +133,8 @@ def _write_bench_json(request, figure, wall_seconds: float) -> None:
         "name": stem,
         "test": request.node.name,
         "figure_id": getattr(figure, "figure_id", None),
-        "backend": get_default_backend(),
+        "backend": "+".join(sorted(backends)) or "none",
+        **_provenance(),
         "data_plane": get_data_plane(),
         "scale": BENCH_SCALE,
         "trials": BENCH_TRIALS,
@@ -109,15 +162,16 @@ def figure_bench(benchmark, request):
         OBS.reset()
         OBS.enable()
         try:
-            started = time.perf_counter()
-            figure = benchmark.pedantic(
-                lambda: builder(**kwargs), rounds=1, iterations=1
-            )
-            wall_seconds = time.perf_counter() - started
+            with _backends_used() as backends:
+                started = time.perf_counter()
+                figure = benchmark.pedantic(
+                    lambda: builder(**kwargs), rounds=1, iterations=1
+                )
+                wall_seconds = time.perf_counter() - started
         finally:
             OBS.disable()
         print("\n" + figure.to_text())
-        _write_bench_json(request, figure, wall_seconds)
+        _write_bench_json(request, figure, wall_seconds, backends)
         return figure
 
     return _run

@@ -26,7 +26,8 @@ from ..aggregates import (
     SizeChangeSpec,
     base_specs_of,
 )
-from ..drilldown import DrillOutcome, drill_from_root
+from ..drilldown import DrillOutcome, FrontierWalker
+from ..drilldown import drill_from_root  # noqa: F401 - re-exported
 from ..tree import QueryTree, Signature
 from ..variance import mean, ratio_variance, variance_of_mean
 
@@ -382,20 +383,17 @@ class EstimatorBase:
         record.contributions = self._contributions_of(outcome)
         record.leaf_overflow = outcome.leaf_overflow
 
+    def _walker(self, session: QuerySession) -> FrontierWalker:
+        """The round's batched drill-down walker (one per session)."""
+        return FrontierWalker(session, self.tree, self.parent_check)
+
     def _new_drilldowns_until_exhausted(
-        self, session: QuerySession, round_index: int
+        self, walker: FrontierWalker, round_index: int
     ) -> tuple[list[DrillDownRecord], int]:
         """Fresh drill-downs until the budget runs out; returns (records, overflows)."""
-        from ...errors import QueryBudgetExhausted
-
         created: list[DrillDownRecord] = []
         leaf_overflows = 0
-        while True:
-            signature = self.tree.random_signature(self.rng)
-            try:
-                outcome = drill_from_root(session, self.tree, signature)
-            except QueryBudgetExhausted:
-                break
+        for outcome in walker.fresh_until_exhausted(self.rng):
             created.append(self._record_from(outcome, round_index))
             leaf_overflows += outcome.leaf_overflow
         return created, leaf_overflows

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 
-from ...errors import QueryBudgetExhausted
 from ...hiddendb.session import QuerySession
 from ..aggregates import SizeChangeSpec
-from ..drilldown import reissue_update
+from ..drilldown import reissue_update  # noqa: F401 - re-exported
 from ..variance import mean, variance_of_mean
 from .base import DrillDownRecord, EstimatorBase, RoundReport
 
@@ -35,25 +34,16 @@ class ReissueEstimator(EstimatorBase):
         self, session: QuerySession, round_index: int
     ) -> RoundReport:
         leaf_overflows = 0
-        exhausted = False
         # (record, its last_round before this update, its old contributions);
         # feeds the trans-round delta estimates below.
         update_log: list[tuple[DrillDownRecord, int, dict[str, float]]] = []
 
+        walker = self._walker(session)
         order = list(self.records)
         self.rng.shuffle(order)
-        for record in order:
-            try:
-                outcome = reissue_update(
-                    session,
-                    self.tree,
-                    record.signature,
-                    record.depth,
-                    parent_check=self.parent_check,
-                )
-            except QueryBudgetExhausted:
-                exhausted = True
-                break
+        plan = [(record.signature, record.depth) for record in order]
+        # The walker comes first in zip so it always runs to its end.
+        for outcome, record in zip(walker.walk(plan), order):
             update_log.append(
                 (record, record.last_round, dict(record.contributions))
             )
@@ -61,9 +51,9 @@ class ReissueEstimator(EstimatorBase):
             leaf_overflows += outcome.leaf_overflow
 
         new_records: list[DrillDownRecord] = []
-        if not exhausted:
+        if not walker.exhausted:
             new_records, new_overflows = self._new_drilldowns_until_exhausted(
-                session, round_index
+                walker, round_index
             )
             self.records.extend(new_records)
             leaf_overflows += new_overflows

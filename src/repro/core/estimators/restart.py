@@ -22,7 +22,7 @@ class RestartEstimator(EstimatorBase):
         self, session: QuerySession, round_index: int
     ) -> RoundReport:
         created, leaf_overflows = self._new_drilldowns_until_exhausted(
-            session, round_index
+            self._walker(session), round_index
         )
         values_by_spec = {
             spec.name: [record.contributions[spec.name] for record in created]

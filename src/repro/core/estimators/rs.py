@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import math
 
-from ...errors import QueryBudgetExhausted
 from ...hiddendb.session import QuerySession
 from ..aggregates import AggregateSpec, SizeChangeSpec
 from ..allocation import GroupParams, integer_allocation
-from ..drilldown import drill_from_root, reissue_update
+from ..drilldown import FRESH, DrillOutcome, FrontierWalker
+from ..drilldown import drill_from_root, reissue_update  # noqa: F401 - re-exported
 from ..variance import (
     combine_inverse_variance,
     mean,
@@ -154,31 +154,19 @@ class RsEstimator(EstimatorBase):
             remaining[x] = pool
 
         # ---- bootstrap phase -----------------------------------------
-        exhausted = False
-        for x in update_rounds:
-            pilots = min(self.bootstrap_per_group, len(remaining[x]))
-            for _ in range(pilots):
-                record = remaining[x].pop()
-                if not self._update_one(
-                    session, record, round_index, data[x]
-                ):
-                    exhausted = True
-                    break
-                leaf_overflows += record.leaf_overflow
-            if exhausted:
-                break
+        walker = self._walker(session)
         new_created: list[DrillDownRecord] = []
-        if not exhausted:
-            for _ in range(self.bootstrap_per_group):
-                record = self._new_one(session, round_index, data[round_index])
-                if record is None:
-                    exhausted = True
-                    break
-                new_created.append(record)
-                leaf_overflows += record.leaf_overflow
+        pilots: list[tuple[int, DrillDownRecord | None]] = []
+        for x in update_rounds:
+            for _ in range(min(self.bootstrap_per_group, len(remaining[x]))):
+                pilots.append((x, remaining[x].pop()))
+        pilots.extend((round_index, None) for _ in range(self.bootstrap_per_group))
+        leaf_overflows += self._run_plan(
+            walker, pilots, round_index, data, new_created
+        )
 
         # ---- allocation and execution ----------------------------------
-        if not exhausted and session.remaining and session.remaining > 0:
+        if not walker.exhausted and session.remaining and session.remaining > 0:
             allocation = self._allocate(
                 round_index, data, remaining, session.remaining
             )
@@ -190,31 +178,18 @@ class RsEstimator(EstimatorBase):
                     take = min(count, len(remaining[x]))
                     plan.extend(("update", x) for _ in range(take))
             self.rng.shuffle(plan)
-            for kind, x in plan:
-                if kind == "update":
-                    record = remaining[x].pop()
-                    if not self._update_one(
-                        session, record, round_index, data[x]
-                    ):
-                        exhausted = True
-                        break
-                    leaf_overflows += record.leaf_overflow
-                else:
-                    record = self._new_one(
-                        session, round_index, data[round_index]
-                    )
-                    if record is None:
-                        exhausted = True
-                        break
-                    new_created.append(record)
-                    leaf_overflows += record.leaf_overflow
+            items = [
+                (x, remaining[x].pop() if kind == "update" else None)
+                for kind, x in plan
+            ]
+            leaf_overflows += self._run_plan(
+                walker, items, round_index, data, new_created
+            )
             # Leftover budget (cost estimates are noisy): new drill-downs.
-            while not exhausted:
-                record = self._new_one(session, round_index, data[round_index])
-                if record is None:
-                    break
-                new_created.append(record)
-                leaf_overflows += record.leaf_overflow
+            for outcome in walker.fresh_until_exhausted(self.rng):
+                leaf_overflows += self._fold(
+                    round_index, None, outcome, round_index, data, new_created
+                )
         self.records.extend(new_created)
 
         # ---- combination ----------------------------------------------
@@ -319,7 +294,7 @@ class RsEstimator(EstimatorBase):
     ) -> RoundReport:
         """No history yet: behave like RESTART but remember the drill-downs."""
         created, leaf_overflows = self._new_drilldowns_until_exhausted(
-            session, round_index
+            self._walker(session), round_index
         )
         self.records.extend(created)
         values_by_spec = {
@@ -338,44 +313,48 @@ class RsEstimator(EstimatorBase):
             active_drilldowns=len(self.records),
         )
 
-    def _update_one(
+    def _run_plan(
         self,
-        session: QuerySession,
-        record: DrillDownRecord,
+        walker: FrontierWalker,
+        items: list[tuple[int, DrillDownRecord | None]],
         round_index: int,
-        group: _GroupData,
-    ) -> bool:
-        """Reissue one record; returns False on budget exhaustion."""
-        try:
-            outcome = reissue_update(
-                session,
-                self.tree,
-                record.signature,
-                record.depth,
-                parent_check=self.parent_check,
+        data: dict[int, _GroupData],
+        new_created: list[DrillDownRecord],
+    ) -> int:
+        """Run ``(group, record)`` items as one walker plan — a record is
+        reissued, ``None`` is a fresh drill-down — folding each outcome
+        into its group until the budget runs out; returns leaf overflows."""
+        plan = [
+            FRESH if record is None else (record.signature, record.depth)
+            for _x, record in items
+        ]
+        leaf_overflows = 0
+        # The walker comes first in zip so it always runs to its end.
+        for outcome, (x, record) in zip(walker.walk(plan, self.rng), items):
+            leaf_overflows += self._fold(
+                x, record, outcome, round_index, data, new_created
             )
-        except QueryBudgetExhausted:
-            return False
-        old = dict(record.contributions)
-        self._apply_outcome(record, outcome, round_index)
-        group.add(outcome.queries_spent, dict(record.contributions), old)
-        return True
+        return leaf_overflows
 
-    def _new_one(
+    def _fold(
         self,
-        session: QuerySession,
+        x: int,
+        record: DrillDownRecord | None,
+        outcome: DrillOutcome,
         round_index: int,
-        group: _GroupData,
-    ) -> DrillDownRecord | None:
-        """One fresh drill-down; returns None on budget exhaustion."""
-        signature = self.tree.random_signature(self.rng)
-        try:
-            outcome = drill_from_root(session, self.tree, signature)
-        except QueryBudgetExhausted:
-            return None
-        record = self._record_from(outcome, round_index)
-        group.add(outcome.queries_spent, dict(record.contributions))
-        return record
+        data: dict[int, _GroupData],
+        new_created: list[DrillDownRecord],
+    ) -> bool:
+        """Book one walk's outcome in group ``x``; returns its leaf flag."""
+        if record is None:
+            record = self._record_from(outcome, round_index)
+            new_created.append(record)
+            data[x].add(outcome.queries_spent, dict(record.contributions))
+        else:
+            old = dict(record.contributions)
+            self._apply_outcome(record, outcome, round_index)
+            data[x].add(outcome.queries_spent, dict(record.contributions), old)
+        return record.leaf_overflow
 
     # ------------------------------------------------------------------
     # Allocation inputs (Corollary 4.3's alpha/beta/g per group)

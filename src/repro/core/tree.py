@@ -63,20 +63,37 @@ class QueryTree:
                     "free_order must cover exactly the non-fixed attributes"
                 )
         self.free_order = tuple(free_order)
-        self._free_sizes = tuple(
+        #: Domain size of each free attribute, in drill-down order.
+        self.free_sizes = tuple(
             schema.attributes[a].size for a in self.free_order
+        )
+        # randrange(size) draws getrandbits(size.bit_length()) until the
+        # draw is below size; random_signatures runs that loop inline.
+        self._draw_plan = tuple(
+            (size, size.bit_length()) for size in self.free_sizes
         )
         # Base predicates shared by every node of this (sub)tree.
         self._fixed_predicates = tuple(sorted(self.fixed.items()))
         # Cumulative leaf-fraction denominators: _denominators[d] = number of
         # level-d nodes under the subtree root = prod of first d free sizes.
         denominators = [1]
-        for size in self._free_sizes:
+        for size in self.free_sizes:
             denominators.append(denominators[-1] * size)
         self._denominators = tuple(denominators)
         # Attribute order for the prefix index: fixed attributes first (they
         # are "above the root" of the subtree), then the free order.
         self.attr_order = tuple(sorted(self.fixed)) + self.free_order
+        # Index-side coordinates of this tree's root: the fixed prefix's
+        # depth and mixed-radix code in ``attr_order`` (a node at tree
+        # depth d sits at index depth ``root_depth + d``).
+        self.root_depth = len(self.fixed)
+        root_code = 0
+        for attr_index in sorted(self.fixed):
+            root_code = (
+                root_code * schema.attributes[attr_index].size
+                + self.fixed[attr_index]
+            )
+        self.root_code = root_code
 
     @property
     def max_depth(self) -> int:
@@ -92,7 +109,30 @@ class QueryTree:
     # ------------------------------------------------------------------
     def random_signature(self, rng: random.Random) -> Signature:
         """Uniformly choose a leaf, i.e. one value per free attribute."""
-        return tuple(rng.randrange(size) for size in self._free_sizes)
+        return self.random_signatures(rng, 1)[0]
+
+    def random_signatures(
+        self, rng: random.Random, count: int
+    ) -> list[Signature]:
+        """``count`` signatures in one call.
+
+        The stream and the RNG's final state equal ``count`` calls of
+        ``tuple(rng.randrange(size) for size in free_sizes)``: each digit
+        runs ``randrange``'s own rejection loop over ``rng.getrandbits``,
+        with the bit lengths precomputed.
+        """
+        getrandbits = rng.getrandbits
+        plan = self._draw_plan
+        signatures = []
+        for _ in range(count):
+            digits = []
+            for size, bits in plan:
+                value = getrandbits(bits)
+                while value >= size:
+                    value = getrandbits(bits)
+                digits.append(value)
+            signatures.append(tuple(digits))
+        return signatures
 
     def num_leaves(self) -> int:
         """Number of leaves of this (sub)tree."""

@@ -336,10 +336,13 @@ class StorageBackend(Protocol):
 
     :meth:`range_keys` (the array-native ``iter_range``, feeding the
     columnar query plane) is part of the contract and implemented by both
-    shipped engines; :meth:`PrefixIndex.range_tids
-    <repro.hiddendb.store.PrefixIndex.range_tids>` degrades gracefully to
+    shipped engines; :meth:`PrefixIndex.node_tids
+    <repro.hiddendb.store.PrefixIndex.node_tids>` degrades gracefully to
     ``iter_range`` for third-party engines that predate it, at per-key
-    cost.
+    cost.  ``count_ranges(los, his)`` (the counts of many intervals,
+    one tree level per call) is optional: only the ``blocked`` engine has
+    it, and prefix indexes ask the others one :meth:`count_range` per
+    interval.
     """
 
     def add(self, key: int) -> None: ...

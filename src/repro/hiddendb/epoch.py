@@ -391,7 +391,7 @@ class FrozenPrefixIndex(PrefixIndex):
 
     Shares the (immutable) codec and attribute order with the live index
     and swaps the storage backend for its frozen view, so every query
-    method — ``count_prefix`` / ``iter_tids`` / ``range_tids`` — is
+    method — ``count_nodes`` / ``iter_node_tids`` / ``node_tids`` — is
     inherited and bit-identical to querying the live index at the
     publish instant.
     """

@@ -7,9 +7,13 @@ matches exist is revealed only through the overflow flag (no counts).
 Query evaluation strategy:
 
 * If the query's predicate attributes are a prefix of some registered
-  attribute order, the matching set is a contiguous range in that order's
-  :class:`~repro.hiddendb.store.PrefixIndex` — count via two bisects, page
-  materialised lazily.
+  attribute order, the query is a tree node whose matching set is a
+  contiguous range in that order's
+  :class:`~repro.hiddendb.store.PrefixIndex` — counted with a batch of
+  nodes in one backend call (:meth:`TopKInterface.count_nodes`), page
+  materialised lazily.  :meth:`TopKInterface.search` is
+  :meth:`TopKInterface.search_many` of one; batched drill-down walks
+  count whole tree levels and charge the queries themselves.
 * Otherwise (ad-hoc conjunctions) evaluation falls back to a full scan.
   The scan path doubles as the correctness oracle in property tests.
 
@@ -20,7 +24,7 @@ Two query planes implement both strategies (selected by the process-wide
   :func:`~repro.hiddendb.result.top_k_by_score`.  The oracle the parity
   tests compare against.
 * **columnar** (the ``vectorized`` plane, default) — candidate tids come
-  from the index as vectors (:meth:`PrefixIndex.range_tids`), scan
+  from the index as vectors (:meth:`PrefixIndex.node_tids`), scan
   predicates are matched against the frozen blocks' value matrices
   (:meth:`TupleStore.scan_match`), and a valid result carries a deferred
   :class:`~repro.hiddendb.result.PageColumns`: page selection
@@ -90,16 +94,12 @@ class InterfaceStats:
         self._lock = threading.Lock()
 
     def record(self, status: QueryStatus) -> None:
-        with self._lock:
-            self.queries += 1
-            if status is QueryStatus.UNDERFLOW:
-                self.underflow += 1
-            elif status is QueryStatus.VALID:
-                self.valid += 1
-            else:
-                self.overflow += 1
-        if OBS.enabled:
-            _STATUS_COUNTERS[status].inc()
+        """Count one charged query (:meth:`record_many` of one)."""
+        self.record_many(
+            int(status is QueryStatus.UNDERFLOW),
+            int(status is QueryStatus.VALID),
+            int(status is QueryStatus.OVERFLOW),
+        )
 
     def merge(self, other: "InterfaceStats") -> None:
         """Fold another stats object into this one (both stay valid).
@@ -123,6 +123,22 @@ class InterfaceStats:
                 "valid": self.valid,
                 "overflow": self.overflow,
             }
+
+    def record_many(self, underflow: int, valid: int, overflow: int) -> None:
+        """Count a batch of charged queries by status under one lock."""
+        with self._lock:
+            self.queries += underflow + valid + overflow
+            self.underflow += underflow
+            self.valid += valid
+            self.overflow += overflow
+        if OBS.enabled:
+            for status, count in (
+                (QueryStatus.UNDERFLOW, underflow),
+                (QueryStatus.VALID, valid),
+                (QueryStatus.OVERFLOW, overflow),
+            ):
+                if count:
+                    _STATUS_COUNTERS[status].inc(count)
 
     def as_dict(self) -> dict[str, int]:
         """Alias of :meth:`to_dict` (the pre-PR-9 name)."""
@@ -157,18 +173,84 @@ class TopKInterface:
     # Query execution
     # ------------------------------------------------------------------
     def search(self, query: ConjunctiveQuery) -> QueryResult:
-        """Execute one conjunctive search query."""
-        query.validate(self.db.schema)
-        result = self._evaluate(query)
-        self.stats.record(result.status)
-        return result
+        """Execute one conjunctive search query (a batch of one)."""
+        return self.search_many((query,))[0]
 
-    def _evaluate(self, query: ConjunctiveQuery) -> QueryResult:
-        prefix = self._match_prefix_order(query)
-        if prefix is not None:
+    def search_many(
+        self, queries: Sequence[ConjunctiveQuery]
+    ) -> list[QueryResult]:
+        """Execute a batch of conjunctive queries, every one of them charged.
+
+        All queries are validated before any runs.  Queries whose
+        attributes are a prefix of a registered order become tree nodes
+        counted with one :meth:`~repro.hiddendb.store.PrefixIndex.count_nodes`
+        call per order; other conjunctions fall back to a scan.  The whole
+        batch reads one store state, so the answers do not depend on the
+        order of the queries; the statuses are recorded under one lock.
+        """
+        schema = self.db.schema
+        for query in queries:
+            query.validate(schema)
+        store = self.db.read_store
+        orders = store.index_orders()
+        results: list = [None] * len(queries)
+        nodes: dict[tuple[int, ...], tuple[list[int], list[int], list[int]]] = {}
+        for position, query in enumerate(queries):
+            prefix = self._match_prefix_order(query, orders)
+            if prefix is None:
+                results[position] = self._evaluate_scan(store, query)
+                continue
             attr_order, prefix_values = prefix
-            return self._evaluate_prefix(attr_order, prefix_values)
-        return self._evaluate_scan(query)
+            depth, code = store.ensure_index(attr_order).node_of(prefix_values)
+            positions, depths, codes = nodes.setdefault(attr_order, ([], [], []))
+            positions.append(position)
+            depths.append(depth)
+            codes.append(code)
+        for attr_order, (positions, depths, codes) in nodes.items():
+            index = store.ensure_index(attr_order)
+            counts = index.count_nodes(depths, codes)
+            for position, depth, code, count in zip(
+                positions, depths, codes, counts
+            ):
+                results[position] = self._node_result(
+                    store, index, depth, code, count
+                )
+        tally = {status: 0 for status in QueryStatus}
+        for result in results:
+            tally[result.status] += 1
+        self.stats.record_many(
+            tally[QueryStatus.UNDERFLOW],
+            tally[QueryStatus.VALID],
+            tally[QueryStatus.OVERFLOW],
+        )
+        return results
+
+    def count_nodes(
+        self,
+        attr_order: Sequence[int],
+        depths: Sequence[int],
+        codes: Sequence[int],
+    ) -> list[int]:
+        """Match counts of query-tree nodes, uncharged and unrecorded.
+
+        A node is ``(depth, code)`` under a registered ``attr_order`` (see
+        :meth:`~repro.hiddendb.store.KeyCodec.prefix_code`).  Batched
+        drill-down walks evaluate a whole tree level with one call, then
+        charge only the queries the sequential schedule would have issued
+        (recording them with :meth:`InterfaceStats.record_many`) and build
+        those results with :meth:`node_result`.
+        """
+        index = self.db.read_store.ensure_index(attr_order)
+        return index.count_nodes(depths, codes)
+
+    def node_result(
+        self, attr_order: Sequence[int], depth: int, code: int, count: int
+    ) -> QueryResult:
+        """The result page of node ``(depth, code)`` that matched ``count``
+        tuples in the current store state (see :meth:`count_nodes`)."""
+        store = self.db.read_store
+        index = store.ensure_index(attr_order)
+        return self._node_result(store, index, depth, code, count)
 
     def register_attr_order(self, attr_order: Sequence[int]) -> None:
         """Pre-register an attribute order so its queries use the index.
@@ -180,32 +262,36 @@ class TopKInterface:
         self.db.read_store.ensure_index(attr_order)
 
     def _match_prefix_order(
-        self, query: ConjunctiveQuery
+        self,
+        query: ConjunctiveQuery,
+        orders: Sequence[tuple[int, ...]] | None = None,
     ) -> tuple[tuple[int, ...], list[int]] | None:
         """Find a registered order whose prefix covers the query's attributes."""
-        # Iterate a snapshot: another tenant's thread may register a new
-        # index (ensure_index) while this query plans.
+        if orders is None:
+            # A snapshot: another tenant's thread may register a new index
+            # (ensure_index) while this query plans.
+            orders = self.db.read_store.index_orders()
         if not query.predicates:
             # Root query: any registered index (or none yet) works.
-            for attr_order in self.db.read_store.index_orders():
+            for attr_order in orders:
                 return attr_order, []
             return None
         wanted = {a: v for a, v in query.predicates}
-        for attr_order in self.db.read_store.index_orders():
+        for attr_order in orders:
             head = attr_order[: len(wanted)]
             if set(head) == set(wanted):
                 return attr_order, [wanted[a] for a in head]
         return None
 
-    def _epoch_guarded(self, fetch: Callable) -> Callable:
-        """Pin a deferred column fetch / page load to the current store state.
+    @staticmethod
+    def _epoch_guarded(store, fetch: Callable) -> Callable:
+        """Pin a deferred column fetch / page load to the store's state.
 
-        Captures the context's read store: a page pinned to a published
+        ``store`` is the context's read store: a page pinned to a published
         :class:`~repro.hiddendb.epoch.StoreEpoch` can never go stale (the
         epoch's mutation counter is frozen), so overlapped churn on the
         live store does not invalidate reads started before the flip.
         """
-        store = self.db.read_store
         epoch = store.mutation_epoch
 
         def guarded():
@@ -218,32 +304,24 @@ class TopKInterface:
             return fetch()
         return guarded
 
-    def _evaluate_prefix(
-        self, attr_order: Sequence[int], prefix_values: list[int]
+    def _node_result(
+        self, store, index, depth: int, code: int, matching: int
     ) -> QueryResult:
-        store = self.db.read_store
-        index = store.ensure_index(attr_order)
-        matching = index.count_prefix(prefix_values)
         if matching == 0:
             return QueryResult(QueryStatus.UNDERFLOW, self.k, tuples=())
         if get_data_plane() == "scalar":
-            if matching <= self.k:
-                page = top_k_by_score(
-                    (store.get(tid) for tid in index.iter_tids(prefix_values)),
-                    self.k,
-                )
-                return QueryResult(QueryStatus.VALID, self.k, tuples=page)
-
             def load_page() -> list[HiddenTuple]:
                 return top_k_by_score(
-                    (store.get(tid) for tid in index.iter_tids(prefix_values)),
+                    (store.get(tid) for tid in index.iter_node_tids(depth, code)),
                     self.k,
                 )
 
+            if matching <= self.k:
+                return QueryResult(QueryStatus.VALID, self.k, tuples=load_page())
             return QueryResult(QueryStatus.OVERFLOW, self.k, loader=load_page)
         if matching <= self.k:
             fetch = self._epoch_guarded(
-                lambda: store.gather(index.range_tids(prefix_values))
+                store, lambda: store.gather(index.node_tids(depth, code))
             )
             return QueryResult(
                 QueryStatus.VALID,
@@ -251,19 +329,19 @@ class TopKInterface:
                 page=PageColumns(matching, self.k, fetch),
             )
 
-        def load_page() -> list[HiddenTuple]:
+        def load_columns() -> list[HiddenTuple]:
             # Overflow pages re-read the index at access time on both
             # planes (leaf-overflow outcomes are read mid-round by the
             # intra-round driver), so no epoch guard here: the scalar
             # loader above has the identical read-at-access semantics.
-            rows = store.gather(index.range_tids(prefix_values))
+            rows = store.gather(index.node_tids(depth, code))
             batch = rows.batch
             order = top_k_select(batch.scores, batch.tids, self.k)
             return [rows.materialize_row(int(row)) for row in order]
 
-        return QueryResult(QueryStatus.OVERFLOW, self.k, loader=load_page)
+        return QueryResult(QueryStatus.OVERFLOW, self.k, loader=load_columns)
 
-    def _evaluate_scan(self, query: ConjunctiveQuery) -> QueryResult:
+    def _evaluate_scan(self, store, query: ConjunctiveQuery) -> QueryResult:
         """Full-scan evaluation for arbitrary conjunctions."""
         if get_data_plane() == "scalar":
             # Reference path: per-tuple predicate matching over the heap.
@@ -280,13 +358,12 @@ class TopKInterface:
                 self.k,
                 loader=lambda: top_k_by_score(matches, self.k),
             )
-        store = self.db.read_store
         tids, scores = store.scan_match(query.predicates)
         matching = len(tids)
         if matching == 0:
             return QueryResult(QueryStatus.UNDERFLOW, self.k, tuples=())
         if matching <= self.k:
-            fetch = self._epoch_guarded(lambda: store.gather(tids))
+            fetch = self._epoch_guarded(store, lambda: store.gather(tids))
             return QueryResult(
                 QueryStatus.VALID,
                 self.k,

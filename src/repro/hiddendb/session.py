@@ -105,6 +105,27 @@ class QuerySession:
             raise QueryBudgetExhausted(self.budget or 0)
         self.queries_used += 1
         result = self.interface.search(query)
+        self.settle(query, result)
+        return result
+
+    @property
+    def on_query(self) -> Callable[[], None] | None:
+        """The per-query mutation hook (``None`` when absent)."""
+        return self._on_query
+
+    def cached(self, query: ConjunctiveQuery) -> QueryResult | None:
+        """This round's remembered answer to ``query`` (cache ablation)."""
+        if not self.cache_within_round:
+            return None
+        return self._cache.get(query)
+
+    def settle(self, query: ConjunctiveQuery, result: QueryResult) -> None:
+        """Finish one charged query: remember it, then fire the hook.
+
+        :meth:`search` calls this after evaluating; batched drill-down
+        walks, which charge ``queries_used`` and evaluate themselves, call
+        it for each charged query in the sequential schedule's order.
+        """
         if self._on_query is not None:
             # The hook mutates the database (intra-round update model), so
             # pin the columnar plane's deferred page to pre-mutation state
@@ -114,7 +135,6 @@ class QuerySession:
             self._cache[query] = result
         if self._on_query is not None:
             self._on_query()
-        return result
 
     def reset_round(self, budget: int | None = None) -> None:
         """Start a new round: clear the cache, restart the budget counter."""

@@ -12,7 +12,7 @@ Components:
 
 * :class:`SortedKeyList` — a blocked sorted list of integers (the same idea
   as ``sortedcontainers.SortedList``, reimplemented because this environment
-  is offline): O(sqrt n) insert/delete, O(log n + #blocks) positional rank.
+  is offline): O(sqrt n) insert/delete, O(log n) positional rank.
   Registered as the ``"blocked"`` storage backend (the default).
 * :class:`KeyCodec` — the mixed-radix key codec over one attribute order,
   with vectorized :meth:`KeyCodec.encode_many` / :meth:`KeyCodec.decode_many`
@@ -40,6 +40,7 @@ import os
 import threading
 import time
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
 from contextvars import ContextVar
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -217,13 +218,13 @@ class SortedKeyList:
     Supports the three operations the prefix index needs:
 
     * :meth:`add` / :meth:`remove` in O(sqrt n),
-    * :meth:`rank` (count of keys strictly below a value) in
-      O(log n + #blocks),
+    * :meth:`rank` (count of keys strictly below a value) in O(log n),
+      through cumulative block offsets rebuilt once per content change,
     * :meth:`iter_range` over a half-open key interval.
     """
 
     __slots__ = ("_blocks", "_maxes", "_size", "_block_size",
-                 "_freeze_rev", "_frozen_rev", "_frozen_view")
+                 "_freeze_rev", "_frozen_rev", "_frozen_view", "_offsets")
 
     def __init__(
         self,
@@ -234,10 +235,27 @@ class SortedKeyList:
         self._freeze_rev = 0
         self._frozen_rev = -1
         self._frozen_view = None
+        self._offsets: tuple[int, list[int]] = (-1, [])
         self._rebuild(sorted(keys))
 
     def __len__(self) -> int:
         return self._size
+
+    def _block_offsets(self) -> list[int]:
+        """``offsets[b]`` = keys stored before block ``b`` (``offsets[-1]``
+        is the size).
+
+        Cached per ``_freeze_rev`` (every mutation bumps it) and published
+        as one ``(rev, offsets)`` tuple, so concurrent readers either reuse
+        a complete list or build their own — never a torn pair.
+        """
+        rev, offsets = self._offsets
+        if rev != self._freeze_rev:
+            rev = self._freeze_rev
+            offsets = [0]
+            offsets.extend(accumulate(map(len, self._blocks)))
+            self._offsets = (rev, offsets)
+        return offsets
 
     def _locate_block(self, key: int) -> int:
         """Index of the first block whose max is >= key (len for none)."""
@@ -391,16 +409,38 @@ class SortedKeyList:
         block_index = self._locate_block(key)
         if block_index == len(self._blocks):
             return self._size
-        preceding = 0
-        for i in range(block_index):
-            preceding += len(self._blocks[i])
-        return preceding + bisect_left(self._blocks[block_index], key)
+        return self._block_offsets()[block_index] + bisect_left(
+            self._blocks[block_index], key
+        )
 
     def count_range(self, lo: int, hi: int) -> int:
         """Number of keys in the half-open interval ``[lo, hi)``."""
-        if hi <= lo:
-            return 0
-        return self.rank(hi) - self.rank(lo)
+        return self.count_ranges((lo,), (hi,))[0]
+
+    def count_ranges(
+        self, los: Sequence[int], his: Sequence[int]
+    ) -> list[int]:
+        """Number of keys in every half-open interval ``[los[i], his[i])``
+        (:meth:`rank` of both ends, the lower one searched below the
+        upper)."""
+        offsets = self._block_offsets()
+        blocks, maxes = self._blocks, self._maxes
+        last = len(blocks)
+        counts = []
+        for lo, hi in zip(los, his):
+            if hi <= lo:
+                counts.append(0)
+                continue
+            upper = bisect_left(maxes, hi)
+            count = offsets[upper]
+            if upper < last:
+                count += bisect_left(blocks[upper], hi)
+            lower = bisect_left(maxes, lo, 0, upper)
+            count -= offsets[lower]
+            if lower < last:
+                count -= bisect_left(blocks[lower], lo)
+            counts.append(count)
+        return counts
 
     def iter_range(self, lo: int, hi: int) -> Iterator[int]:
         """Yield keys in ``[lo, hi)`` in ascending order."""
@@ -648,10 +688,22 @@ class KeyCodec:
         ``prefix_values`` are value indices for the first ``len(prefix)``
         attributes of this codec's order.
         """
-        depth = len(prefix_values)
+        return self.node_range(len(prefix_values), self.prefix_code(prefix_values))
+
+    def prefix_code(self, prefix_values: Sequence[int]) -> int:
+        """Mixed-radix code of a prefix: the node's index among its depth.
+
+        A child's code extends its parent's as ``code * radices[d] + value``
+        (and the parent's is ``code // radices[d]``), which is how batched
+        tree walks derive node codes level by level without re-encoding.
+        """
         code = 0
-        for position in range(depth):
+        for position in range(len(prefix_values)):
             code = code * self.radices[position] + prefix_values[position]
+        return code
+
+    def node_range(self, depth: int, code: int) -> tuple[int, int]:
+        """Half-open key interval of the depth-``depth`` node ``code``."""
         span = self.spans[depth]
         lo = code * span
         return lo, lo + span
@@ -667,9 +719,10 @@ class PrefixIndex:
     ``workers``).
 
     **Reader-concurrency contract:** all query methods (``count_prefix``,
-    ``iter_tids``, ``range_tids``, ``prefix_range``, ``__len__``) are safe
-    to call from any number of threads concurrently as long as no mutation
-    (``add`` / ``remove`` / ``bulk_*``) runs at the same time.  The shipped
+    ``count_nodes``, ``iter_node_tids``, ``node_tids``, ``prefix_range``,
+    ``__len__``) are safe to call from any number of threads concurrently
+    as long as no mutation (``add`` / ``remove`` / ``bulk_*``) runs at the
+    same time.  The shipped
     backends' read-side caches only grow under the GIL (see
     :mod:`repro.hiddendb.backends`); mutations must be serialized against
     readers externally — the engine facade's round barrier does this.
@@ -743,20 +796,46 @@ class PrefixIndex:
             return
         self._keys.bulk_add(self._batch_keys(batch))
 
+    def node_of(self, prefix_values: Sequence[int]) -> tuple[int, int]:
+        """``(depth, code)`` of the node fixing ``prefix_values`` — the
+        address every node query below takes (see
+        :meth:`KeyCodec.prefix_code`)."""
+        return len(prefix_values), self.codec.prefix_code(prefix_values)
+
     def count_prefix(self, prefix_values: Sequence[int]) -> int:
         """Number of stored tuples matching the prefix."""
-        lo, hi = self.prefix_range(prefix_values)
-        return self._keys.count_range(lo, hi)
+        depth, code = self.node_of(prefix_values)
+        return self.count_nodes((depth,), (code,))[0]
 
-    def iter_tids(self, prefix_values: Sequence[int]) -> Iterator[int]:
-        """Yield tids of tuples matching the prefix (key order)."""
-        lo, hi = self.prefix_range(prefix_values)
+    def count_nodes(
+        self, depths: Sequence[int], codes: Sequence[int]
+    ) -> list[int]:
+        """Match counts of many nodes, each given as ``(depth, code)``.
+
+        The ``blocked`` backend answers all of them with one native
+        ``count_ranges`` call; the other backends (and the frozen epoch
+        views) have no such method and are asked one ``count_range`` per
+        node.
+        """
+        spans = self.codec.spans
+        los = [code * spans[depth] for depth, code in zip(depths, codes)]
+        his = [lo + spans[depth] for depth, lo in zip(depths, los)]
+        count_ranges = getattr(self._keys, "count_ranges", None)
+        if count_ranges is None:
+            count_range = self._keys.count_range
+            return [count_range(lo, hi) for lo, hi in zip(los, his)]
+        return count_ranges(los, his)
+
+    def iter_node_tids(self, depth: int, code: int) -> Iterator[int]:
+        """Yield tids of the tuples under node ``(depth, code)`` (key order)."""
+        lo, hi = self.codec.node_range(depth, code)
         tid_span = self.codec.tid_span
         for key in self._keys.iter_range(lo, hi):
             yield key % tid_span
 
-    def range_tids(self, prefix_values: Sequence[int]) -> np.ndarray:
-        """Matching tids as an int64 vector — array-native ``iter_tids``.
+    def node_tids(self, depth: int, code: int) -> np.ndarray:
+        """Tids under node ``(depth, code)`` as an int64 vector, in key
+        order — the array-native :meth:`iter_node_tids`.
 
         One vectorized modulo when the backend hands back an int64 key
         array (packed narrow schemas); the chunked limb reduction
@@ -767,7 +846,7 @@ class PrefixIndex:
         :meth:`~repro.hiddendb.backends.StorageBackend.range_keys` degrade
         to ``iter_range``.
         """
-        lo, hi = self.prefix_range(prefix_values)
+        lo, hi = self.codec.node_range(depth, code)
         range_keys = getattr(self._keys, "range_keys", None)
         if range_keys is not None:
             keys = range_keys(lo, hi)

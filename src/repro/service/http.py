@@ -239,6 +239,8 @@ class ServiceServer:
                     content_length = int(value.strip())
                 except ValueError:
                     raise _HttpError(400, "bad Content-Length") from None
+                if content_length < 0:
+                    raise _HttpError(400, "bad Content-Length")
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = b""

@@ -281,7 +281,7 @@ def test_epoch_index_queries_match_live_at_publish(backend, options):
     db.store.ensure_index((0, 1, 2))
     live_index = db.store.ensure_index((0, 1, 2))
     expected = {
-        prefix: list(live_index.iter_tids(list(prefix)))
+        prefix: list(live_index.iter_node_tids(*live_index.node_of(prefix)))
         for prefix in ((), (0,), (1,), (0, 1), (1, 0, 1))
     }
     epoch = db.publish_epoch()
@@ -289,8 +289,9 @@ def test_epoch_index_queries_match_live_at_publish(backend, options):
         db.insert((0, 0, 0), (1.0,))
     frozen_index = epoch.ensure_index((0, 1, 2))
     for prefix, tids in expected.items():
-        assert list(frozen_index.iter_tids(list(prefix))) == tids
-        assert frozen_index.range_tids(list(prefix)).tolist() == tids
+        node = frozen_index.node_of(prefix)
+        assert list(frozen_index.iter_node_tids(*node)) == tids
+        assert frozen_index.node_tids(*node).tolist() == tids
         assert frozen_index.count_prefix(list(prefix)) == len(tids)
 
 

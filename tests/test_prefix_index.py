@@ -70,10 +70,11 @@ class TestCounting:
                 if all(t.values[i] == v for i, v in enumerate(prefix))
             ]
             assert index.count_prefix(prefix) == len(expected)
-            assert sorted(index.iter_tids(prefix)) == sorted(expected)
+            node = index.node_of(prefix)
+            assert sorted(index.iter_node_tids(*node)) == sorted(expected)
             # Array-native variant: same tids, same (key) order.
-            assert index.range_tids(prefix).tolist() == list(
-                index.iter_tids(prefix)
+            assert index.node_tids(*node).tolist() == list(
+                index.iter_node_tids(*node)
             )
 
     def test_range_tids_wide_keys(self):
@@ -89,8 +90,9 @@ class TestCounting:
         for t in tuples:
             index.add(t)
         for prefix in ([], [3], [3, 1]):
-            assert index.range_tids(prefix).tolist() == list(
-                index.iter_tids(prefix)
+            node = index.node_of(prefix)
+            assert index.node_tids(*node).tolist() == list(
+                index.iter_node_tids(*node)
             )
 
     def test_remove_updates_counts(self, small_schema):
@@ -132,4 +134,6 @@ def test_prefix_count_matches_filter(rows, order, raw_prefix):
         if all(t.values[order[i]] == v for i, v in enumerate(prefix))
     ]
     assert index.count_prefix(prefix) == len(expected)
-    assert sorted(index.iter_tids(prefix)) == sorted(expected)
+    assert sorted(index.iter_node_tids(*index.node_of(prefix))) == sorted(
+        expected
+    )

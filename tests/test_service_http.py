@@ -450,6 +450,28 @@ def test_malformed_bodies_and_routes():
             client.request("DELETE", "/v1/tasks")
 
 
+def test_negative_content_length_is_a_400_and_the_server_survives():
+    import socket
+
+    app = ServiceApp(_engine(n=100))
+    with _Service(app) as client:
+        with socket.create_connection(
+            ("127.0.0.1", client.port), timeout=10
+        ) as raw:
+            raw.sendall(
+                b"POST /v1/tasks HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -5\r\n\r\n"
+            )
+            reply = b""
+            while b"\r\n" not in reply:
+                chunk = raw.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.split(b"\r\n", 1)[0].split()[1] == b"400"
+        assert client.health()["schema_version"] == 1
+
+
 def app_port(client: ServiceClient) -> int:
     return client.port
 

@@ -4,7 +4,7 @@ Two hot spots of wide-schema workloads (fig12's m=50 keys span ~157 bits)
 got vectorized twins in PR 5; these tests pin them to their scalar oracles:
 
 * :func:`repro.hiddendb.backends.mod_many` — the chunked int64-limb modulo
-  behind ``PrefixIndex.range_tids`` (and sharded partitioning) must equal
+  behind ``PrefixIndex.node_tids`` (and sharded partitioning) must equal
   the per-key ``%`` loop for any modulus class (power of two, small,
   48-bit Horner, and the big-modulus double-and-add path covering the
   rest of ``[2**48, 2**63)``).
@@ -180,7 +180,7 @@ def test_small_wide_runs_skip_the_probe_array():
 
 
 # ----------------------------------------------------------------------
-# range_tids on a wide schema: vectorized twin of iter_tids
+# node_tids on a wide schema: vectorized twin of iter_node_tids
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["blocked", "packed", "sharded"])
 def test_range_tids_parity_on_wide_schema(backend):
@@ -198,6 +198,7 @@ def test_range_tids_parity_on_wide_schema(backend):
                        for a in range(40))
         index.add(make_tuple(tid, values, (), 0.5))
     for prefix in ([], [0], [1], [0, 1], [1, 2, 3]):
-        vectorized = index.range_tids(prefix)
+        node = index.node_of(prefix)
+        vectorized = index.node_tids(*node)
         assert vectorized.dtype == np.int64
-        assert vectorized.tolist() == list(index.iter_tids(prefix))
+        assert vectorized.tolist() == list(index.iter_node_tids(*node))
