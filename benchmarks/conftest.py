@@ -12,13 +12,6 @@ Environment knobs:
 * ``REPRO_BENCH_TRIALS``  — trials to average per experiment (default 2)
 * ``REPRO_BENCH_BACKEND`` — storage backend for every simulated database
   (``blocked`` | ``packed``; default: the package default, ``blocked``)
-* ``REPRO_DATA_PLANE``    — data plane for bulk loads *and* query
-  evaluation (``vectorized`` | ``scalar``; default ``vectorized``).  The
-  vectorized setting selects the columnar query plane (vector candidate
-  gather + ``np.argpartition`` page selection, deferred materialization);
-  ``scalar`` is the per-tuple reference path.  CI times both so the two
-  stay comparable across commits (the perf gate reads
-  ``benchmarks/baselines.json``).
 
 Each run additionally drops a machine-readable ``BENCH_<figure>.json``
 next to the working directory (wall time, backend, query counts, series)
@@ -44,7 +37,7 @@ import numpy as np
 import pytest
 
 from repro.hiddendb.backends import set_default_backend
-from repro.hiddendb.store import TupleStore, get_data_plane
+from repro.hiddendb.store import TupleStore
 from repro.obs import OBS
 
 #: Fraction of the paper's dataset sizes used by default.
@@ -135,7 +128,6 @@ def _write_bench_json(
         "figure_id": getattr(figure, "figure_id", None),
         "backend": "+".join(sorted(backends)) or "none",
         **_provenance(),
-        "data_plane": get_data_plane(),
         "scale": BENCH_SCALE,
         "trials": BENCH_TRIALS,
         "wall_seconds": round(wall_seconds, 3),

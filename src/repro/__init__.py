@@ -36,7 +36,6 @@ from .api import (
 )
 from .core import (
     AggregateSpec,
-    ESTIMATOR_CLASSES,
     EstimatorBase,
     QueryTree,
     RatioSpec,
@@ -85,7 +84,6 @@ __all__ = [
     "AggregateSpec",
     "Attribute",
     "ConjunctiveQuery",
-    "ESTIMATOR_CLASSES",
     "Engine",
     "EngineConfig",
     "EstimationError",

@@ -17,7 +17,6 @@ Extension points:
 """
 
 from ..core.estimators.registry import (
-    ESTIMATOR_CLASSES,
     available_estimators,
     register_estimator,
     resolve_estimator,
@@ -31,12 +30,6 @@ from ..hiddendb.backends import (
     set_default_backend_options,
     using_backend,
     using_backend_options,
-)
-from ..hiddendb.store import (
-    get_data_plane,
-    overriding_data_plane,
-    set_data_plane,
-    using_data_plane,
 )
 from ..obs import (
     OBS,
@@ -62,7 +55,6 @@ from .engine import GAP_TASK, Engine, EstimationTask, ReportGap, TaskHandle
 from .persistence import has_snapshot, load_engine, save_engine
 
 __all__ = [
-    "ESTIMATOR_CLASSES",
     "Engine",
     "EngineConfig",
     "EstimationTask",
@@ -81,23 +73,19 @@ __all__ = [
     "save_engine",
     "available_backends",
     "available_estimators",
-    "get_data_plane",
     "get_default_backend",
     "get_default_backend_options",
     "get_default_observability",
     "get_default_parallelism",
-    "overriding_data_plane",
     "register_backend",
     "register_estimator",
     "resolve_estimator",
-    "set_data_plane",
     "set_default_backend",
     "set_default_backend_options",
     "set_default_observability",
     "set_default_parallelism",
     "using_backend",
     "using_backend_options",
-    "using_data_plane",
     "using_observability",
     "using_parallelism",
 ]

@@ -1,23 +1,24 @@
 """One config object for every engine knob.
 
 Before :mod:`repro.api`, the knobs of a simulation were threaded ad hoc:
-``backend=`` kwargs, a process-global data-plane switch, an interface
-``k`` here, a ``budget_per_round`` there, and environment variables
-(``REPRO_DATA_PLANE``, the benchmarks' ``REPRO_BENCH_BACKEND``) that could
-silently override program decisions.  :class:`EngineConfig` consolidates
-them with one documented precedence order, highest first:
+``backend=`` kwargs, an interface ``k`` here, a ``budget_per_round``
+there, and environment variables (the benchmarks'
+``REPRO_BENCH_BACKEND``) that could silently override program decisions.
+:class:`EngineConfig` consolidates them with one documented precedence
+order, highest first:
 
 1. **Explicit config field** — a non-``None`` value on the
    :class:`EngineConfig` an :class:`~repro.api.engine.Engine` was built
    with (or a per-task override on an
    :class:`~repro.api.engine.EstimationTask`).
 2. **Process-wide programmatic default** — ``set_default_backend`` /
-   ``set_data_plane`` (or their scoped ``using_*`` twins).
-3. **Environment variable** — ``REPRO_DATA_PLANE`` for the data plane,
-   ``REPRO_OBS`` for the observability plane.  Environment variables are
-   *defaults only*: they never override levels 1–2 (see
-   ``tests/test_data_plane_precedence.py``).
-4. **Built-in default** — ``blocked`` storage, ``vectorized`` data plane.
+   ``set_default_parallelism`` / ``set_default_observability`` (or their
+   scoped ``using_*`` twins).
+3. **Environment variable** — ``REPRO_OBS`` for the observability plane.
+   Environment variables are *defaults only*: they never override
+   levels 1–2.
+4. **Built-in default** — ``blocked`` storage, sequential rounds,
+   observability off.
 
 ``REPRO_BENCH_BACKEND`` remains a benchmarks-harness convenience (it calls
 ``set_default_backend`` at level 2) and is not consulted by the library.
@@ -38,11 +39,6 @@ from ..hiddendb.backends import (
     resolve_backend,
     using_backend,
     using_backend_options,
-)
-from ..hiddendb.store import (
-    DATA_PLANES,
-    get_data_plane,
-    overriding_data_plane,
 )
 from ..obs import get_default_observability, using_observability
 
@@ -99,10 +95,6 @@ class EngineConfig:
         Storage backend behind every prefix index of the engine's
         database.  ``None`` defers to the process default
         (``set_default_backend``, built-in ``"blocked"``).
-    data_plane:
-        ``"vectorized"`` or ``"scalar"``; scoped around every engine
-        operation.  ``None`` defers to the process default
-        (``set_data_plane`` > ``REPRO_DATA_PLANE`` > ``"vectorized"``).
     k:
         Page size of the hidden database's top-k interface.
     budget_per_round:
@@ -183,7 +175,6 @@ class EngineConfig:
     """
 
     backend: str | None = None
-    data_plane: str | None = None
     k: int = 100
     budget_per_round: int = 300
     seed: int = 0
@@ -233,11 +224,6 @@ class EngineConfig:
                 f"unknown seed policy {self.seed_policy!r}; "
                 f"available: {', '.join(SEED_POLICIES)}"
             )
-        if self.data_plane is not None and self.data_plane not in DATA_PLANES:
-            raise ExperimentError(
-                f"unknown data plane {self.data_plane!r}; "
-                f"available: {', '.join(DATA_PLANES)}"
-            )
         if self.backend is not None:
             try:
                 resolve_backend(self.backend)
@@ -252,12 +238,6 @@ class EngineConfig:
         """The backend this config selects, after the precedence order."""
         return self.backend if self.backend is not None else (
             get_default_backend()
-        )
-
-    def resolved_data_plane(self) -> str:
-        """The data plane this config selects, after the precedence order."""
-        return self.data_plane if self.data_plane is not None else (
-            get_data_plane()
         )
 
     def resolved_parallelism(self) -> int:
@@ -313,10 +293,6 @@ class EngineConfig:
 
         ``None`` fields leave the corresponding default untouched, so
         wrapping legacy code in ``config.apply()`` is always safe.  A
-        non-``None`` ``data_plane`` becomes a context-local override
-        (:func:`~repro.hiddendb.store.overriding_data_plane`): it governs
-        everything run inside the scope on this thread and is invisible
-        to concurrent threads — no process-global state is mutated.  A
         non-``None`` ``shards`` scopes the sharded engine's default
         options; a non-``None`` ``parallelism`` scopes the process
         default engines resolve against.
@@ -324,11 +300,11 @@ class EngineConfig:
         shard_options = (
             {"shards": self.shards} if self.shards is not None else None
         )
-        with using_backend(self.backend), overriding_data_plane(
-            self.data_plane
-        ), using_backend_options("sharded", shard_options), using_parallelism(
-            self.parallelism
-        ), using_observability(self.observability):
+        with using_backend(self.backend), using_backend_options(
+            "sharded", shard_options
+        ), using_parallelism(self.parallelism), using_observability(
+            self.observability
+        ):
             yield self
 
     def task_seed(self, task_name: str, explicit: int | None = None) -> int:

@@ -68,7 +68,6 @@ from ..hiddendb.epoch import StoreEpoch
 from ..hiddendb.interface import TopKInterface
 from ..hiddendb.ranking import RankingPolicy
 from ..hiddendb.schema import Schema
-from ..hiddendb.store import get_data_plane, overriding_data_plane
 from ..obs import OBS
 from ..tuning import (
     ACTION_MIGRATE,
@@ -305,9 +304,7 @@ class Engine:
 
     When ``db`` is given, its storage backend stands as built — the
     config's ``backend`` field only governs databases the engine itself
-    creates.  The config's ``data_plane`` is scoped around every engine
-    operation (submit, load, run_round, apply_updates), so one engine can
-    pin a plane without touching the process default.
+    creates.
     """
 
     def __init__(
@@ -412,24 +409,9 @@ class Engine:
             del self._log[:drop]
             self._log_start += drop
 
-    @contextmanager
-    def _scoped(self):
-        """The round barrier plus this engine's context-local plane pin.
-
-        A pinned ``data_plane`` is a :class:`~contextvars.ContextVar`
-        override visible only to code this engine runs on the current
-        thread — the process-global switch is never touched, so engines
-        on other threads (pinned to anything or unpinned) proceed fully
-        concurrently and can never observe this engine's plane.  Worker
-        threads of a parallel round re-establish the pin themselves
-        (ContextVars do not cross thread boundaries).
-        """
-        with self._round_lock, overriding_data_plane(self.config.data_plane):
-            yield
-
-    @contextmanager
-    def _write_scoped(self):
-        """The writer scope plus this engine's context-local plane pin.
+    @property
+    def _writer_lock(self):
+        """The lock writers take.
 
         Sequential mode: the round barrier (writers and rounds exclude
         each other — the store stays round-static).  Overlap mode: the
@@ -437,9 +419,7 @@ class Engine:
         with an epoch-pinned round and serialize just against each other
         and the publish flip.
         """
-        lock = self._write_lock if self.config.overlap else self._round_lock
-        with lock, overriding_data_plane(self.config.data_plane):
-            yield
+        return self._write_lock if self.config.overlap else self._round_lock
 
     # ------------------------------------------------------------------
     # Introspection
@@ -475,7 +455,7 @@ class Engine:
     def _load_rows(self, rows) -> int:
         """Bulk-load tuples into the shared database (``engine.load(...)``
         on an instance — see :class:`_LoadName`); returns rows inserted."""
-        with self._write_scoped():
+        with self._writer_lock:
             return self.db.insert_many(rows)
 
     class _LoadName:
@@ -530,7 +510,7 @@ class Engine:
             raise ExperimentError(
                 "Engine.save needs a path (or a config with store_dir set)"
             )
-        with self._scoped(), self._write_lock, self._lock:
+        with self._round_lock, self._write_lock, self._lock:
             return save_engine(self, path, extra=extra)
 
     def apply_updates(
@@ -544,7 +524,7 @@ class Engine:
         published epoch, and becomes visible to estimators at the next
         ``advance_round`` publish flip.
         """
-        with self._write_scoped():
+        with self._writer_lock:
             mutate(self.db)
 
     def advance_round(self) -> int:
@@ -563,7 +543,7 @@ class Engine:
         just published while the O(n) rebuild proceeds, and content is
         untouched, so estimates are bit-identical across the swap.
         """
-        with self._write_scoped():
+        with self._writer_lock:
             round_index = self.db.advance_round()
             if self.config.overlap:
                 self.db.publish_epoch()
@@ -592,10 +572,10 @@ class Engine:
 
         Built purely from the engine's own deterministic counters — live
         tuple count, the database's tid allocator (every inserted row
-        consumes exactly one tid, on both data planes), the tenants'
-        lifetime query totals, and the round index — so the profile
-        stream replays bit-identically and never depends on wall clock
-        or the observability plane being on.
+        consumes exactly one tid), the tenants' lifetime query totals,
+        and the round index — so the profile stream replays
+        bit-identically and never depends on wall clock or the
+        observability plane being on.
         """
         marks = self._tuning_marks or {}
         n = len(self.db.store)
@@ -694,7 +674,7 @@ class Engine:
         sequentially, the write lock in overlap mode) and then the
         session lock for the table insert — always in that order.
         """
-        with self._write_scoped(), self._lock:
+        with self._writer_lock, self._lock:
             if task.name in self._tasks:
                 raise DuplicateTaskError(task.name)
             factory = resolve_estimator(task.estimator)
@@ -728,27 +708,21 @@ class Engine:
     def _run_estimator(
         self,
         handle: TaskHandle,
-        plane: str,
         epoch: StoreEpoch | None = None,
     ) -> RoundReport:
-        """One task's round, pinned to the round's resolved data plane
-        (and, in overlap mode, to the round's published epoch).
+        """One task's round, pinned in overlap mode to the round's
+        published epoch.
 
-        ``plane`` is captured on the calling thread *after* every override
-        is in scope (engine pin > caller's context-local override >
-        process default), because worker threads do not inherit the
-        submitting thread's ContextVars — without the explicit pin a
-        parallel round would silently drop a caller-scoped plane.  The
-        epoch pin is a ContextVar too, hence re-established here for the
-        same reason.
+        The epoch pin is a :class:`~contextvars.ContextVar`, which worker
+        threads do not inherit from the submitting thread — hence it is
+        re-established here, on the thread that runs the task.
         """
-        with overriding_data_plane(plane):
-            if epoch is None:
-                return handle.estimator.run_round()
-            with reading_epoch(self.db, epoch):
-                return handle.estimator.run_round()
+        if epoch is None:
+            return handle.estimator.run_round()
+        with reading_epoch(self.db, epoch):
+            return handle.estimator.run_round()
 
-    def _forked_round_main(self, handle, plane, epoch, conn) -> None:
+    def _forked_round_main(self, handle, epoch, conn) -> None:
         """Entry point of one forked round worker (runs in the child).
 
         Sends either ``{"report", "estimator"}`` (both strict-JSON, the
@@ -767,7 +741,7 @@ class Engine:
             # the round outcome when it adopts the report.
             OBS.disable()
             try:
-                report = self._run_estimator(handle, plane, epoch)
+                report = self._run_estimator(handle, epoch)
                 payload = {
                     "report": report.to_dict(),
                     "estimator": handle.estimator.state_to_wire(),
@@ -780,7 +754,7 @@ class Engine:
             os._exit(0)
 
     def _run_round_forked(
-        self, selected, plane, epoch, workers
+        self, selected, epoch, workers
     ) -> list[RoundReport | BaseException]:
         """Fan the round out to forked worker processes, in waves of
         ``workers``.
@@ -806,7 +780,7 @@ class Engine:
                 receiver, sender = ctx.Pipe(duplex=False)
                 worker = ctx.Process(
                     target=self._forked_round_main,
-                    args=(handle, plane, epoch, sender),
+                    args=(handle, epoch, sender),
                     daemon=True,
                 )
                 worker.start()
@@ -874,11 +848,7 @@ class Engine:
         tasks: Sequence[str] | None,
         parallel: int | None,
     ) -> dict[str, RoundReport]:
-        with self._scoped():
-            # The effective plane, with every override already in scope
-            # (the engine's pin via _scoped, or the caller's own
-            # context-local override); workers re-pin it explicitly.
-            plane = get_data_plane()
+        with self._round_lock:
             with self._lock:
                 if tasks is None:
                     selected = list(self._tasks.values())
@@ -924,11 +894,11 @@ class Engine:
                 round_started = perf_counter()
                 task_seconds: list[float] = []
 
-                def runner(handle, plane, epoch):
+                def runner(handle, epoch):
                     task_started = perf_counter()
                     try:
                         with OBS.span("round.task"):
-                            return self._run_estimator(handle, plane, epoch)
+                            return self._run_estimator(handle, epoch)
                     finally:
                         elapsed = perf_counter() - task_started
                         handle._obs_task_seconds.observe(elapsed)
@@ -954,7 +924,7 @@ class Engine:
                     )
                 if self.config.round_executor == "fork":
                     produced = self._run_round_forked(
-                        selected, plane, epoch, workers
+                        selected, epoch, workers
                     )
                 else:
                     with ThreadPoolExecutor(
@@ -962,7 +932,7 @@ class Engine:
                         thread_name_prefix="repro-round",
                     ) as pool:
                         futures = [
-                            pool.submit(runner, handle, plane, epoch)
+                            pool.submit(runner, handle, epoch)
                             for handle in selected
                         ]
                         for future in futures:
@@ -973,7 +943,7 @@ class Engine:
             else:
                 for handle in selected:
                     try:
-                        produced.append(runner(handle, plane, epoch))
+                        produced.append(runner(handle, epoch))
                     except BaseException as exc:
                         # Sequential semantics: later tasks do not run
                         # this round (matches the pre-parallel engine).

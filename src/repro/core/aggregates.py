@@ -171,7 +171,7 @@ class AggregateSpec:
 
         ``start`` is folded in as the first accumulation term, and the
         rows are accumulated strictly left to right (cumsum), so chaining
-        ``batch_total`` over heap segments reproduces the scalar plane's
+        ``batch_total`` over heap segments reproduces the per-tuple path's
         single sequential Python sum bit for bit (numpy's pairwise
         ``.sum()``, or summing per-segment subtotals, would not).
         """

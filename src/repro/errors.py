@@ -22,8 +22,8 @@ Wire error payloads have the shape::
 surface a few ad-hoc ``ValueError``\\ s; those are now typed:
 
 * malformed wire payloads (``repro.core.wire`` decode failures) raise
-  :class:`WireFormatError` — still a ``ValueError`` subclass for one
-  release, so existing ``except ValueError`` handlers keep working;
+  :class:`WireFormatError` (no longer a ``ValueError`` subclass — catch
+  it, or :class:`ReproError`, by name);
 * ``Engine`` raises :class:`UnknownTaskError` / :class:`DuplicateTaskError`
   instead of bare :class:`ExperimentError` for task-table misses and
   double submissions — both subclass :class:`ExperimentError`, so existing
@@ -137,13 +137,8 @@ class DuplicateTaskError(ExperimentError):
         return {"task": self.name}
 
 
-class WireFormatError(ReproError, ValueError):
-    """A wire payload cannot be decoded (bad float spelling, bad version).
-
-    Subclasses ``ValueError`` for one release: ``repro.core.wire`` decode
-    failures used to raise bare ``ValueError`` (see the migration note in
-    the module docstring).
-    """
+class WireFormatError(ReproError):
+    """A wire payload cannot be decoded (bad float spelling, bad version)."""
 
     code = "WIRE_INVALID"
     http_status = 400

@@ -4,7 +4,7 @@ Installed as ``repro-experiments``::
 
     repro-experiments list
     repro-experiments run fig02 --scale 0.1 --trials 3
-    repro-experiments run fig12 --backend packed --data-plane vectorized
+    repro-experiments run fig12 --backend packed --parallelism 2
     repro-experiments run all --out results.txt
 
 The CLI is a thin client of :mod:`repro.api`: the flags populate one
@@ -52,14 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="storage backend for every simulated database "
              "(default: the built-in blocked sorted list)",
-    )
-    run.add_argument(
-        "--data-plane",
-        choices=("vectorized", "scalar"),
-        default=None,
-        help="data plane for bulk loads and query evaluation (default: "
-             "the process default — set_data_plane, then REPRO_DATA_PLANE, "
-             "then 'vectorized')",
     )
     run.add_argument(
         "--shards",
@@ -137,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
     # defaults that the figure drivers' engines then inherit.
     config = EngineConfig(
         backend=args.backend,
-        data_plane=args.data_plane,
         shards=args.shards,
         parallelism=args.parallelism,
         observability=True if args.profile else None,

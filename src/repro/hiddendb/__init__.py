@@ -33,10 +33,6 @@ from .store import (
     PrefixIndex,
     SortedKeyList,
     TupleStore,
-    get_data_plane,
-    overriding_data_plane,
-    set_data_plane,
-    using_data_plane,
 )
 from .tuples import HiddenTuple, TupleBatch, make_tuple
 
@@ -64,19 +60,15 @@ __all__ = [
     "TupleStore",
     "available_backends",
     "boolean_schema",
-    "get_data_plane",
     "get_default_backend",
     "get_default_backend_options",
     "make_backend",
     "make_tuple",
     "mod_many",
-    "overriding_data_plane",
     "register_backend",
-    "set_data_plane",
     "set_default_backend",
     "set_default_backend_options",
     "shift_many",
     "using_backend",
     "using_backend_options",
-    "using_data_plane",
 ]

@@ -17,28 +17,21 @@ Query evaluation strategy:
 * Otherwise (ad-hoc conjunctions) evaluation falls back to a full scan.
   The scan path doubles as the correctness oracle in property tests.
 
-Two query planes implement both strategies (selected by the process-wide
-``REPRO_DATA_PLANE`` switch, see :mod:`repro.hiddendb.store`):
-
-* **scalar** — the reference plane: per-tuple ``store.get`` plus
-  :func:`~repro.hiddendb.result.top_k_by_score`.  The oracle the parity
-  tests compare against.
-* **columnar** (the ``vectorized`` plane, default) — candidate tids come
-  from the index as vectors (:meth:`PrefixIndex.node_tids`), scan
-  predicates are matched against the frozen blocks' value matrices
-  (:meth:`TupleStore.scan_match`), and a valid result carries a deferred
-  :class:`~repro.hiddendb.result.PageColumns`: page selection
-  (``np.argpartition`` + exact lexsort, tie-broken ``(-score, tid)``
-  exactly like ``top_k_by_score``) and tuple materialisation run only when
-  a consumer reads the page.  Deferred *valid* pages are pinned to the
-  store's mutation epoch and raise
-  :class:`~repro.errors.StaleResultError` rather than reflect post-query
-  state (their scalar twin was computed eagerly); the intra-round update
-  driver is safe because :class:`~repro.hiddendb.session.QuerySession`
-  freezes results before its mutation hook fires.  *Overflow* pages keep
-  the scalar plane's lazy semantics path by path: prefix loaders re-read
-  the current index state at access on both planes, scan loaders rank a
-  query-time snapshot on both planes.
+Both strategies run on the columnar query plane: candidate tids come from
+the index as vectors (:meth:`PrefixIndex.node_tids`), scan predicates are
+matched against the frozen blocks' value matrices
+(:meth:`TupleStore.scan_match`), and a valid result carries a deferred
+:class:`~repro.hiddendb.result.PageColumns`: page selection
+(``np.argpartition`` + exact lexsort, tie-broken ``(-score, tid)``) and
+tuple materialisation run only when a consumer reads the page.  Deferred
+*valid* pages are pinned to the store's mutation epoch and raise
+:class:`~repro.errors.StaleResultError` rather than reflect post-query
+state; the intra-round update driver is safe because
+:class:`~repro.hiddendb.session.QuerySession` freezes results before its
+mutation hook fires.  *Overflow* pages are lazy: prefix loaders re-read the
+current index state at access, scan loaders rank a query-time snapshot.
+The parity suites compare every result against the per-tuple reference
+(``store.get`` + a heap top-k) kept in ``tests/reference_plane.py``.
 """
 
 from __future__ import annotations
@@ -54,10 +47,8 @@ from .result import (
     PageColumns,
     QueryResult,
     QueryStatus,
-    top_k_by_score,
     top_k_select,
 )
-from .store import get_data_plane
 from .tuples import HiddenTuple
 
 
@@ -139,10 +130,6 @@ class InterfaceStats:
             ):
                 if count:
                     _STATUS_COUNTERS[status].inc(count)
-
-    def as_dict(self) -> dict[str, int]:
-        """Alias of :meth:`to_dict` (the pre-PR-9 name)."""
-        return self.to_dict()
 
 
 class TopKInterface:
@@ -309,16 +296,6 @@ class TopKInterface:
     ) -> QueryResult:
         if matching == 0:
             return QueryResult(QueryStatus.UNDERFLOW, self.k, tuples=())
-        if get_data_plane() == "scalar":
-            def load_page() -> list[HiddenTuple]:
-                return top_k_by_score(
-                    (store.get(tid) for tid in index.iter_node_tids(depth, code)),
-                    self.k,
-                )
-
-            if matching <= self.k:
-                return QueryResult(QueryStatus.VALID, self.k, tuples=load_page())
-            return QueryResult(QueryStatus.OVERFLOW, self.k, loader=load_page)
         if matching <= self.k:
             fetch = self._epoch_guarded(
                 store, lambda: store.gather(index.node_tids(depth, code))
@@ -330,10 +307,9 @@ class TopKInterface:
             )
 
         def load_columns() -> list[HiddenTuple]:
-            # Overflow pages re-read the index at access time on both
-            # planes (leaf-overflow outcomes are read mid-round by the
-            # intra-round driver), so no epoch guard here: the scalar
-            # loader above has the identical read-at-access semantics.
+            # Overflow pages re-read the index at access time
+            # (leaf-overflow outcomes are read mid-round by the
+            # intra-round driver), so no epoch guard here.
             rows = store.gather(index.node_tids(depth, code))
             batch = rows.batch
             order = top_k_select(batch.scores, batch.tids, self.k)
@@ -343,21 +319,6 @@ class TopKInterface:
 
     def _evaluate_scan(self, store, query: ConjunctiveQuery) -> QueryResult:
         """Full-scan evaluation for arbitrary conjunctions."""
-        if get_data_plane() == "scalar":
-            # Reference path: per-tuple predicate matching over the heap.
-            matches = [t for t in self.db.tuples() if query.matches(t)]
-            if not matches:
-                return QueryResult(QueryStatus.UNDERFLOW, self.k, tuples=())
-            if len(matches) <= self.k:
-                return QueryResult(
-                    QueryStatus.VALID, self.k,
-                    tuples=top_k_by_score(matches, self.k),
-                )
-            return QueryResult(
-                QueryStatus.OVERFLOW,
-                self.k,
-                loader=lambda: top_k_by_score(matches, self.k),
-            )
         tids, scores = store.scan_match(query.predicates)
         matching = len(tids)
         if matching == 0:
@@ -369,10 +330,9 @@ class TopKInterface:
                 self.k,
                 page=PageColumns(matching, self.k, fetch),
             )
-        # The scalar scan branch captures its match list eagerly and only
-        # ranks it on access; mirror that snapshot semantics exactly by
-        # selecting and gathering the page rows now (k rows — cheap next
-        # to the scan itself) and deferring just the materialization.
+        # Overflow scans are a query-time snapshot: select and gather the
+        # page rows now (k rows — cheap next to the scan itself) and defer
+        # just the materialization.
         rows = store.gather(tids[top_k_select(scores, tids, self.k)])
         return QueryResult(
             QueryStatus.OVERFLOW,

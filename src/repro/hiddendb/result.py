@@ -21,8 +21,7 @@ page can never silently reflect post-query database state.
 from __future__ import annotations
 
 import enum
-import heapq
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,11 +39,11 @@ class QueryStatus(enum.Enum):
 def top_k_select(
     scores: np.ndarray, tids: np.ndarray, k: int
 ) -> np.ndarray:
-    """Row indices of the top-k page, in page order — the columnar twin of
-    :func:`top_k_by_score`.
+    """Row indices of the top-k page, in page order.
 
     Page order is (score desc, tid asc); tids are unique, so the order is
-    total and must match ``top_k_by_score`` exactly (property-tested).  For
+    total and must match the reference plane's heap selection exactly
+    (property-tested).  For
     ``n > k`` an ``np.argpartition`` pass narrows the candidates to the
     boundary score before the (much smaller) exact lexsort.
     """
@@ -186,10 +185,10 @@ class QueryResult:
         Called by :class:`~repro.hiddendb.session.QuerySession` before its
         ``on_query`` hook fires (the hook is how the intra-round driver
         mutates the database between queries).  Overflow loaders are left
-        lazy, exactly like the scalar plane — prefix loaders re-read the
-        index at access time and scan loaders rank a query-time snapshot,
-        identically on both planes — so a post-mutation read (e.g. a
-        leaf-overflow outcome consumed mid-round) stays plane-identical.
+        lazy, exactly like the per-tuple reference — prefix loaders re-read
+        the index at access time and scan loaders rank a query-time
+        snapshot — so a post-mutation read (e.g. a leaf-overflow outcome
+        consumed mid-round) matches the reference.
         """
         if self._tuples is None and self.page is not None:
             self.page.resolve()
@@ -202,9 +201,3 @@ class QueryResult:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"QueryResult({self.status.value}, k={self.k})"
 
-
-def top_k_by_score(
-    candidates: Iterable[HiddenTuple], k: int
-) -> list[HiddenTuple]:
-    """Top-k tuples by (score desc, tid asc) — the interface's page order."""
-    return heapq.nsmallest(k, candidates, key=lambda t: (-t.score, t.tid))

@@ -56,6 +56,13 @@ from .protocol import RoundRequest, TaskRequest, error_response
 #: Largest accepted request body, bytes (we serve JSON control messages).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Most header lines one request may carry; more are answered with 431.
+MAX_HEADER_LINES = 100
+
+#: Seconds a client gets to send one whole request (line, headers, body);
+#: a connection still short of that on expiry is closed without a reply.
+REQUEST_READ_TIMEOUT = 30.0
+
 #: Content type of the ``/v1/metrics`` Prometheus text exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -83,7 +90,8 @@ def _endpoint_label(path: str) -> str:
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
 }
 
 
@@ -160,6 +168,12 @@ class ServiceServer:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
+        # A request still incomplete when this fires is cancelled, which
+        # closes its connection without a reply (a timer, not wait_for:
+        # no extra task and no extra loop iterations per request).
+        deadline = asyncio.get_running_loop().call_later(
+            REQUEST_READ_TIMEOUT, task.cancel
+        )
         try:
             try:
                 method, path, query, body = await self._read_request(reader)
@@ -174,6 +188,7 @@ class ServiceServer:
                     }}),
                 )
                 return
+            deadline.cancel()
             if method == "GET" and path == "/v1/stream":
                 await self._stream(writer, query)
                 return
@@ -206,6 +221,7 @@ class ServiceServer:
         except asyncio.CancelledError:
             pass  # server shutting down with this connection in flight
         finally:
+            deadline.cancel()
             if task is not None:
                 self._connections.discard(task)
             writer.close()
@@ -229,8 +245,11 @@ class ServiceServer:
             for key, values in parse_qs(split.query).items()
         }
         content_length = 0
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADER_LINES + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than the stream reader's limit
+                raise _HttpError(400, "header line too long") from None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -241,6 +260,8 @@ class ServiceServer:
                     raise _HttpError(400, "bad Content-Length") from None
                 if content_length < 0:
                     raise _HttpError(400, "bad Content-Length")
+        else:
+            raise _HttpError(431, "too many header lines")
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = b""

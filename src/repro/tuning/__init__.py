@@ -1,11 +1,11 @@
 """``repro.tuning`` — cost-based self-tuning of the engine's knobs.
 
-The reproduction exposes four storage backends x two data planes x
+The reproduction exposes four storage backends x
 shard/worker/overlap knobs, all hand-picked until now.  This package
 closes the loop (ROADMAP open item 5): a :class:`CostModel` scores
 candidate configs against the observed store-size/churn/query profile
 (per-backend cost signatures from :mod:`repro.hiddendb.backends`, priors
-from ``benchmarks/baselines.json``, live rates from the
+measured on the fig-12 workload, live rates from the
 :mod:`repro.obs` windowed delta snapshots), and a
 :class:`TuningController` applies decisions at the engine's safe seams —
 initial config at construction, online backend/shard migration at the

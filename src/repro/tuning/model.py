@@ -14,11 +14,10 @@ Inputs
   (:data:`repro.hiddendb.backends.BACKEND_COST_SIGNATURES`) — unitless
   ratios describing how each storage engine's probe, bulk-maintenance
   and fixed per-round costs relate.
-* **Priors** derived from ``benchmarks/baselines.json``
-  (:func:`priors_from_baselines`) — measured relative wall times of the
-  shipped backends on the fig-12 workload, used to scale the signatures
-  toward reality.  A missing or partial baselines file falls back to
-  :data:`DEFAULT_PRIORS`.
+* **Priors** — relative wall times of the shipped backends on the fig-12
+  workload, used to scale the signatures toward reality:
+  :data:`DEFAULT_PRIORS`, or :func:`priors_from_baselines` over an
+  explicitly given baselines payload.
 
 The scored quantity is an abstract *probe-equivalent cost per round*:
 
@@ -41,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from typing import Mapping, Sequence
 
 from ..errors import ExperimentError
@@ -50,14 +48,15 @@ from ..hiddendb.backends import (
     available_backends,
 )
 
-#: Fallback per-backend priors (relative wall time, min-normalized to
-#: 1.0) used when no baselines file is available.  Ordering mirrors the
-#: shipped ``benchmarks/baselines.json``.
+#: Per-backend priors (relative wall time, min-normalized to 1.0): what
+#: :func:`priors_from_baselines` derived from the shipped
+#: ``benchmarks/baselines.json`` when these were fixed in code, so a
+#: model's decisions never depend on the working directory.
 DEFAULT_PRIORS: dict[str, float] = {
     "blocked": 1.0,
     "packed": 0.95,
     "sharded": 1.2,
-    "mapped": 2.5,
+    "mapped": 3.3,
 }
 
 #: Baselines.json key pairs whose walls measure the *same* workload on
@@ -71,14 +70,11 @@ _BASELINE_RATIO_PAIRS: tuple[tuple[str, str, str, str], ...] = (
 )
 
 
-def priors_from_baselines(
-    source: str | Mapping | None = None,
-) -> dict[str, float]:
+def priors_from_baselines(source: str | Mapping) -> dict[str, float]:
     """Per-backend relative cost priors from a baselines payload.
 
-    ``source`` is a path to a ``baselines.json``, an already-parsed
-    mapping, or ``None`` to probe the repository's
-    ``benchmarks/baselines.json`` relative to the current directory.
+    ``source`` is a path to a ``baselines.json`` or an already-parsed
+    mapping; an unreadable file yields :data:`DEFAULT_PRIORS`.
 
     Starts from :data:`DEFAULT_PRIORS` and refines it with measured
     *within-pair* wall ratios (:data:`_BASELINE_RATIO_PAIRS`): e.g. the
@@ -92,16 +88,11 @@ def priors_from_baselines(
     if isinstance(source, Mapping):
         payload = source
     else:
-        path = source
-        if path is None:
-            candidate = os.path.join("benchmarks", "baselines.json")
-            path = candidate if os.path.exists(candidate) else None
-        if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                payload = None
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError):
+            payload = None
     priors = dict(DEFAULT_PRIORS)
     if not payload:
         return priors
@@ -185,8 +176,9 @@ class Candidate:
 class CostModel:
     """Scores :class:`Candidate` configs for a :class:`WorkloadProfile`.
 
-    ``priors`` maps backend name to a relative wall-time factor (see
-    :func:`priors_from_baselines`); ``signatures`` defaults to the
+    ``priors`` maps backend name to a relative wall-time factor
+    (default :data:`DEFAULT_PRIORS`; see :func:`priors_from_baselines`);
+    ``signatures`` defaults to the
     registry-backed :data:`BACKEND_COST_SIGNATURES`.  Instances are
     immutable in practice — nothing here mutates after construction — so
     one model can serve every decision of a controller.
@@ -197,8 +189,8 @@ class CostModel:
         priors: Mapping[str, float] | None = None,
         signatures: Mapping[str, Mapping] | None = None,
     ):
-        self.priors = dict(priors) if priors is not None else (
-            priors_from_baselines()
+        self.priors = dict(
+            priors if priors is not None else DEFAULT_PRIORS
         )
         self.signatures = {
             name: dict(signature)

@@ -24,7 +24,7 @@ from repro.api import (
     register_estimator,
     resolve_estimator,
 )
-from repro.core.estimators import ESTIMATOR_CLASSES, RsEstimator
+from repro.core.estimators import RsEstimator
 from repro.core.estimators.base import RoundReport
 from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
@@ -330,99 +330,6 @@ class TestThreadSafety:
             f"tenant-{i}" for i in range(8)
         )
 
-    def test_concurrent_engines_with_pinned_planes_do_not_leak(self):
-        """Two engines pinning different planes, run from two threads:
-        neither corrupts the other's scope nor leaks an explicit
-        process-global setting after both finish."""
-        from repro.hiddendb import store
-
-        previous_explicit = store._data_plane
-        store._data_plane = None
-        try:
-            engines = []
-            for plane in ("scalar", "vectorized"):
-                db, _ = _build_env()
-                engine = Engine(
-                    EngineConfig(k=12, budget_per_round=60, data_plane=plane),
-                    db=db,
-                )
-                engine.submit(EstimationTask(
-                    "tenant", [count_all()], "RS", budget=30, seed=1,
-                ))
-                engines.append(engine)
-            results = {}
-
-            def run(engine, plane):
-                for _ in range(3):
-                    results.setdefault(plane, []).append(
-                        engine.run_round(tasks=["tenant"])["tenant"].estimates
-                    )
-
-            threads = [
-                threading.Thread(target=run, args=(engine, plane))
-                for engine, plane in zip(engines, ("scalar", "vectorized"))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            # No explicit plane leaked past both scopes.
-            assert store._data_plane is None
-            # Both planes are bit-identical estimators of the same content,
-            # so the two engines (identical envs/seeds) must agree.
-            for a, b in zip(results["scalar"], results["vectorized"]):
-                _same_estimates(a, b)
-        finally:
-            store._data_plane = previous_explicit
-
-    def test_unpinned_engine_never_observes_a_pinned_plane(self):
-        """While a pinned engine is mid-operation, an unpinned engine on
-        another thread proceeds *concurrently* and still sees the ambient
-        default — the pin is a context-local override, invisible outside
-        its engine, and touches no process-global state."""
-        from repro.hiddendb import store
-        from repro.hiddendb.store import get_data_plane
-
-        previous_explicit = store._data_plane
-        store._data_plane = None
-        try:
-            db1, _ = _build_env()
-            db2, _ = _build_env()
-            pinned = Engine(EngineConfig(k=5, data_plane="scalar"), db=db1)
-            ambient = Engine(EngineConfig(k=5), db=db2)
-            inside_pin = threading.Event()
-            release_pin = threading.Event()
-            seen = {}
-
-            def slow_mutation(db):
-                seen["pinned"] = get_data_plane()
-                inside_pin.set()
-                release_pin.wait(5)
-
-            pin_thread = threading.Thread(
-                target=lambda: pinned.apply_updates(slow_mutation)
-            )
-            pin_thread.start()
-            assert inside_pin.wait(5)
-            observed = []
-            ambient_thread = threading.Thread(
-                target=lambda: ambient.apply_updates(
-                    lambda db: observed.append(get_data_plane())
-                )
-            )
-            # The ambient engine completes WHILE the pin is still active:
-            # true concurrency, yet the pin stays invisible to it.
-            ambient_thread.start()
-            ambient_thread.join(5)
-            assert not ambient_thread.is_alive()
-            assert observed == ["vectorized"]
-            release_pin.set()
-            pin_thread.join(5)
-            assert seen["pinned"] == "scalar"
-            assert store._data_plane is None
-        finally:
-            store._data_plane = previous_explicit
-
     def test_ranking_with_existing_db_rejected(self):
         from repro.hiddendb.ranking import RandomScore
 
@@ -458,15 +365,17 @@ class TestRegistry:
     def test_builtins_registered(self):
         assert {"RESTART", "REISSUE", "RS"} <= set(available_estimators())
 
-    def test_estimator_classes_alias_sees_registrations(self):
-        token = "X-TEST-ALIAS"
-        assert token not in ESTIMATOR_CLASSES
+    def test_registrations_are_visible(self):
+        from repro.core.estimators import registry
+
+        token = "X-TEST-REGISTERED"
+        assert token not in available_estimators()
         register_estimator(token, RsEstimator)
         try:
-            assert ESTIMATOR_CLASSES[token] is RsEstimator
+            assert token in available_estimators()
             assert resolve_estimator(token) is RsEstimator
         finally:
-            del ESTIMATOR_CLASSES[token]
+            del registry._REGISTRY[token]
 
     def test_resolve_unknown_name_raises(self):
         with pytest.raises(EstimationError):
@@ -496,17 +405,25 @@ class TestConfig:
         with pytest.raises(ExperimentError):
             EngineConfig(seed_policy="mystery")
         with pytest.raises(ExperimentError):
-            EngineConfig(data_plane="quantum")
-        with pytest.raises(ExperimentError):
             EngineConfig(backend="no-such-backend")
 
     def test_round_trip_and_json(self):
         config = EngineConfig(
-            backend="packed", data_plane="scalar", k=7,
+            backend="packed", k=7,
             budget_per_round=42, seed=3, seed_policy="shared",
         )
         payload = json.loads(json.dumps(config.to_dict(), allow_nan=False))
         assert EngineConfig.from_dict(payload) == config
+
+    def test_from_dict_drops_removed_data_plane_field(self):
+        # Configs saved while EngineConfig still had a data_plane field
+        # load unchanged: the key is ignored like any unknown one.
+        payload = EngineConfig(backend="packed", k=7).to_dict()
+        payload["data_plane"] = "scalar"
+        payload = json.loads(json.dumps(payload, allow_nan=False))
+        assert EngineConfig.from_dict(payload) == EngineConfig(
+            backend="packed", k=7
+        )
 
     def test_from_dict_is_forward_tolerant(self):
         # Wire versioning policy: unknown keys (fields from a newer
@@ -528,16 +445,13 @@ class TestConfig:
 
     def test_resolution_defers_to_process_defaults(self):
         from repro.hiddendb.backends import using_backend
-        from repro.hiddendb.store import using_data_plane
 
         config = EngineConfig()
-        with using_backend("packed"), using_data_plane("scalar"):
+        with using_backend("packed"):
             assert config.resolved_backend() == "packed"
-            assert config.resolved_data_plane() == "scalar"
-        pinned = EngineConfig(backend="blocked", data_plane="vectorized")
-        with using_backend("packed"), using_data_plane("scalar"):
+        pinned = EngineConfig(backend="blocked")
+        with using_backend("packed"):
             assert pinned.resolved_backend() == "blocked"
-            assert pinned.resolved_data_plane() == "vectorized"
 
     def test_task_validation(self):
         with pytest.raises(ExperimentError):

@@ -20,12 +20,12 @@ import pytest
 
 from repro import HiddenDatabase, TopKInterface, count_all, sum_measure
 from repro.api import Engine, EngineConfig, EstimationTask
-from repro.core.estimators import ESTIMATOR_CLASSES
+from repro.core.estimators import resolve_estimator
 from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
 from repro.experiments import EstimatorFactory, Experiment
 from repro.hiddendb.backends import using_backend
-from repro.hiddendb.store import using_data_plane
+from tests.reference_plane import plane_scope
 
 BACKENDS = ("blocked", "packed")
 PLANES = ("scalar", "vectorized")
@@ -81,10 +81,10 @@ def _assert_streams_equal(old, new):
 @pytest.mark.parametrize("estimator", ("RESTART", "REISSUE", "RS"))
 def test_manual_legacy_path_matches_engine(backend, plane, estimator):
     # Legacy: hand-built database, interface, estimator class, churn loop.
-    with using_data_plane(plane):
+    with plane_scope(plane):
         db, schedule = _build_env(backend)
         interface = TopKInterface(db, K)
-        legacy = ESTIMATOR_CLASSES[estimator](
+        legacy = resolve_estimator(estimator)(
             interface, _specs(db.schema), budget_per_round=BUDGET, seed=SEED
         )
         rng = random.Random(5)
@@ -96,21 +96,19 @@ def test_manual_legacy_path_matches_engine(backend, plane, estimator):
             old_stream.append(dict(legacy.run_round().estimates))
 
     # Facade: same environment rebuilt identically, driven by an Engine.
-    with using_data_plane(plane):
+    with plane_scope(plane):
         db, schedule = _build_env(backend)
-    engine = Engine(
-        EngineConfig(k=K, budget_per_round=BUDGET, data_plane=plane), db=db
-    )
-    engine.submit(
-        EstimationTask("tenant", _specs(db.schema), estimator, seed=SEED)
-    )
-    rng = random.Random(5)
-    new_stream = []
-    for position in range(ROUNDS):
-        if position:
-            engine.apply_updates(lambda d: apply_round(d, schedule, rng))
-            engine.advance_round()
-        new_stream.append(dict(engine.run_round()["tenant"].estimates))
+        engine = Engine(EngineConfig(k=K, budget_per_round=BUDGET), db=db)
+        engine.submit(
+            EstimationTask("tenant", _specs(db.schema), estimator, seed=SEED)
+        )
+        rng = random.Random(5)
+        new_stream = []
+        for position in range(ROUNDS):
+            if position:
+                engine.apply_updates(lambda d: apply_round(d, schedule, rng))
+                engine.advance_round()
+            new_stream.append(dict(engine.run_round()["tenant"].estimates))
 
     _assert_streams_equal(old_stream, new_stream)
 
@@ -126,7 +124,7 @@ def _legacy_runner_estimates(backend, trials=2):
         specs = _specs(db.schema)
         interface = TopKInterface(db, K)
         estimators = {
-            name: ESTIMATOR_CLASSES[name](
+            name: resolve_estimator(name)(
                 interface, specs, budget_per_round=BUDGET,
                 seed=seed + 17 + index,
             )
@@ -145,7 +143,7 @@ def _legacy_runner_estimates(backend, trials=2):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("plane", PLANES)
 def test_experiment_runner_matches_legacy_loop(backend, plane):
-    with using_data_plane(plane):
+    with plane_scope(plane):
         old = _legacy_runner_estimates(backend)
 
     experiment = Experiment(
@@ -159,11 +157,10 @@ def test_experiment_runner_matches_legacy_loop(backend, plane):
         ],
         rounds=ROUNDS,
         trials=2,
-        config=EngineConfig(
-            backend=backend, data_plane=plane, k=K, budget_per_round=BUDGET
-        ),
+        config=EngineConfig(backend=backend, k=K, budget_per_round=BUDGET),
     )
-    result = experiment.run()
+    with plane_scope(plane):
+        result = experiment.run()
     for name, old_stream in old.items():
         new_stream = [
             dict(snapshot)

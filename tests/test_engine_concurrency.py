@@ -28,6 +28,7 @@ from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
 from repro.errors import ExperimentError, StaleResultError
 from repro.hiddendb import ConjunctiveQuery, TopKInterface
+from tests.reference_plane import plane_scope
 
 
 ALGORITHMS = ("RESTART", "REISSUE", "RS")
@@ -48,40 +49,40 @@ def _run_engine(
     n: int = 2500,
 ):
     """One seeded multi-tenant churn run; returns every observable output."""
-    source = _fig_source()
-    config = EngineConfig(
-        backend=backend,
-        data_plane=plane,
-        shards=shards,
-        parallelism=parallel,
-        k=10,
-        budget_per_round=60,
-        seed=3,
-    )
-    engine = Engine(config, schema=source.schema)
-    engine.load(source.batch_columns(n))
-    schedule = FreshTupleSchedule(
-        source, inserts_per_round=40, delete_fraction=0.01
-    )
-    specs = [count_all()]
-    for index, algorithm in enumerate(ALGORITHMS):
-        engine.submit(
-            EstimationTask(algorithm, specs, algorithm, seed=100 + index)
+    with plane_scope(plane):
+        source = _fig_source()
+        config = EngineConfig(
+            backend=backend,
+            shards=shards,
+            parallelism=parallel,
+            k=10,
+            budget_per_round=60,
+            seed=3,
         )
-    rng = random.Random(11)
-    outputs = []
-    for position in range(rounds):
-        if position:
-            engine.apply_updates(lambda db: apply_round(db, schedule, rng))
-            engine.advance_round()
-        reports = engine.run_round()
-        outputs.append({
-            name: (report.estimates, report.variances, report.queries_used)
-            for name, report in reports.items()
-        })
-    outputs.append(engine.budget_ledger())
-    outputs.append([name for name, _ in engine.stream_reports()])
-    return outputs
+        engine = Engine(config, schema=source.schema)
+        engine.load(source.batch_columns(n))
+        schedule = FreshTupleSchedule(
+            source, inserts_per_round=40, delete_fraction=0.01
+        )
+        specs = [count_all()]
+        for index, algorithm in enumerate(ALGORITHMS):
+            engine.submit(
+                EstimationTask(algorithm, specs, algorithm, seed=100 + index)
+            )
+        rng = random.Random(11)
+        outputs = []
+        for position in range(rounds):
+            if position:
+                engine.apply_updates(lambda db: apply_round(db, schedule, rng))
+                engine.advance_round()
+            reports = engine.run_round()
+            outputs.append({
+                name: (report.estimates, report.variances, report.queries_used)
+                for name, report in reports.items()
+            })
+        outputs.append(engine.budget_ledger())
+        outputs.append([name for name, _ in engine.stream_reports()])
+        return outputs
 
 
 @pytest.mark.parametrize("plane", ["vectorized", "scalar"])
@@ -224,7 +225,7 @@ def test_stress_concurrent_observers_under_churn():
 
     source = _fig_source()
     config = EngineConfig(
-        backend="sharded", data_plane="vectorized", shards=4, parallelism=4,
+        backend="sharded", shards=4, parallelism=4,
         k=10, budget_per_round=60, seed=3,
     )
     engine = Engine(config, schema=source.schema)
@@ -282,49 +283,6 @@ def test_stress_concurrent_observers_under_churn():
     assert engine.budget_ledger() == sequential[4]
 
 
-class _PlaneProbe:
-    """Estimator stub that records the data plane its round ran under."""
-
-    def __init__(self, interface, sink):
-        self.interface = interface
-        self.on_query = None
-        self._sink = sink
-
-    def run_round(self):
-        from repro.hiddendb.store import get_data_plane
-
-        self._sink.append(get_data_plane())
-        return RoundReport(
-            round_index=self.interface.current_round,
-            estimates={"count": 0.0},
-            variances={"count": 0.0},
-            queries_used=0,
-        )
-
-
-def test_parallel_workers_inherit_callers_plane_override():
-    """A caller-scoped context-local plane override must reach parallel
-    workers (ContextVars do not cross thread boundaries by themselves)."""
-    from repro.hiddendb.store import overriding_data_plane
-
-    source = _fig_source()
-    engine = Engine(
-        EngineConfig(k=5, budget_per_round=10, seed=0),  # no plane pinned
-        schema=source.schema,
-    )
-    engine.load(source.batch_columns(100))
-    seen: list[str] = []
-    for name in ("a", "b"):
-        engine.submit(EstimationTask(
-            name,
-            [count_all()],
-            lambda interface, specs, **options: _PlaneProbe(interface, seen),
-        ))
-    with overriding_data_plane("scalar"):
-        engine.run_round(parallel=2)
-    assert seen == ["scalar", "scalar"]
-
-
 # ----------------------------------------------------------------------
 # Cross-thread staleness detection
 # ----------------------------------------------------------------------
@@ -333,7 +291,7 @@ def test_stale_result_error_across_threads():
     store raises StaleResultError instead of silently reflecting
     post-query state."""
     source = _fig_source()
-    config = EngineConfig(data_plane="vectorized", k=10, seed=2)
+    config = EngineConfig(k=10, seed=2)
     engine = Engine(config, schema=source.schema)
     engine.load(source.batch_columns(300))
     interface = TopKInterface(engine.db, k=10)

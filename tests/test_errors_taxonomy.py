@@ -70,10 +70,10 @@ class TestBackwardCompatibility:
         assert issubclass(UnknownTaskError, ExperimentError)
         assert issubclass(DuplicateTaskError, ExperimentError)
 
-    def test_wire_format_error_is_a_value_error(self):
-        # Deprecation bridge (one release): wire decode used to raise
-        # bare ValueError.
-        assert issubclass(WireFormatError, ValueError)
+    def test_wire_format_error_is_not_a_value_error(self):
+        # The one-release ValueError bridge is gone: catch the error by
+        # name (or as a ReproError).
+        assert not issubclass(WireFormatError, ValueError)
 
     def test_everything_is_a_repro_error(self):
         for cls in EXPECTED:
@@ -156,5 +156,5 @@ class TestRehydration:
     def test_rehydrated_errors_are_catchable_as_before(self):
         with pytest.raises(ExperimentError):
             raise error_from_wire(wire_error(UnknownTaskError("x")))
-        with pytest.raises(ValueError):
+        with pytest.raises(WireFormatError):
             raise error_from_wire(wire_error(WireFormatError("x")))

@@ -27,13 +27,14 @@ from repro.errors import QueryBudgetExhausted
 from repro.hiddendb.database import reading_epoch
 from repro.hiddendb.schema import Attribute, Schema
 from repro.hiddendb.session import QuerySession
-from repro.hiddendb.store import SortedKeyList, using_data_plane
+from repro.hiddendb.store import SortedKeyList
 from tests.frontier_oracle import (
     ORACLES,
     oracle_drill_from_root,
     oracle_reissue_update,
     oracle_signature,
 )
+from tests.reference_plane import plane_scope
 
 #: Keys fit int64 (packed runs and frozen int64 vectors) ...
 NARROW = (2, 3, 5, 4, 3, 2)
@@ -69,7 +70,7 @@ def _trace(algorithm, oracle, *, backend="blocked", plane="vectorized",
            pinned=False, **options):
     """Run ``rounds`` rounds of one estimator (or its oracle twin) with
     churn between rounds; return everything each round leaves behind."""
-    with using_data_plane(plane):
+    with plane_scope(plane):
         source = skewed_source(
             domains, exponent=0.5, seed=11, measures=("m",),
             measure_sampler=lambda rng: (round(rng.uniform(0.0, 100.0), 2),),

@@ -32,6 +32,7 @@ from repro.hiddendb import ConjunctiveQuery, TopKInterface
 from repro.hiddendb.database import HiddenDatabase, reading_epoch
 from repro.hiddendb.epoch import FrozenRun, StoreEpoch, freeze_backend
 from repro.hiddendb.schema import boolean_schema
+from tests.reference_plane import plane_scope
 
 ALGORITHMS = ("RESTART", "REISSUE", "RS")
 
@@ -54,42 +55,42 @@ def _run_engine(
     tmp_path=None,
 ):
     """One seeded multi-tenant churn run; returns every observable output."""
-    source = _fig_source()
-    config = EngineConfig(
-        backend=backend,
-        data_plane=plane,
-        shards=shards,
-        parallelism=parallel,
-        overlap=overlap,
-        round_executor=executor,
-        k=10,
-        budget_per_round=60,
-        seed=3,
-        store_dir=str(tmp_path) if tmp_path is not None else None,
-    )
-    engine = Engine(config, schema=source.schema)
-    engine.load(source.batch_columns(n))
-    schedule = FreshTupleSchedule(
-        source, inserts_per_round=40, delete_fraction=0.01
-    )
-    for index, algorithm in enumerate(ALGORITHMS):
-        engine.submit(
-            EstimationTask(algorithm, [count_all()], algorithm,
-                           seed=100 + index)
+    with plane_scope(plane):
+        source = _fig_source()
+        config = EngineConfig(
+            backend=backend,
+            shards=shards,
+            parallelism=parallel,
+            overlap=overlap,
+            round_executor=executor,
+            k=10,
+            budget_per_round=60,
+            seed=3,
+            store_dir=str(tmp_path) if tmp_path is not None else None,
         )
-    rng = random.Random(11)
-    outputs = []
-    for position in range(rounds):
-        if position:
-            engine.apply_updates(lambda db: apply_round(db, schedule, rng))
-            engine.advance_round()
-        reports = engine.run_round()
-        outputs.append({
-            name: (report.estimates, report.variances, report.queries_used)
-            for name, report in reports.items()
-        })
-    outputs.append(engine.budget_ledger())
-    return outputs
+        engine = Engine(config, schema=source.schema)
+        engine.load(source.batch_columns(n))
+        schedule = FreshTupleSchedule(
+            source, inserts_per_round=40, delete_fraction=0.01
+        )
+        for index, algorithm in enumerate(ALGORITHMS):
+            engine.submit(
+                EstimationTask(algorithm, [count_all()], algorithm,
+                               seed=100 + index)
+            )
+        rng = random.Random(11)
+        outputs = []
+        for position in range(rounds):
+            if position:
+                engine.apply_updates(lambda db: apply_round(db, schedule, rng))
+                engine.advance_round()
+            reports = engine.run_round()
+            outputs.append({
+                name: (report.estimates, report.variances, report.queries_used)
+                for name, report in reports.items()
+            })
+        outputs.append(engine.budget_ledger())
+        return outputs
 
 
 # ----------------------------------------------------------------------

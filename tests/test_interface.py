@@ -74,7 +74,7 @@ class TestStats:
         from repro.hiddendb.interface import InterfaceStats
 
         stats = InterfaceStats()
-        assert stats.as_dict() == {
+        assert stats.to_dict() == {
             "queries": 0, "underflow": 0, "valid": 0, "overflow": 0,
         }
         for status, repeats in (
@@ -84,7 +84,7 @@ class TestStats:
         ):
             for _ in range(repeats):
                 stats.record(status)
-        assert stats.as_dict() == {
+        assert stats.to_dict() == {
             "queries": 9, "underflow": 2, "valid": 3, "overflow": 4,
         }
         assert stats.queries == (
@@ -94,7 +94,7 @@ class TestStats:
     def test_tallies_identical_across_query_planes(self, small_schema):
         """The columnar plane classifies every query exactly like the
         scalar oracle, so the VALID/OVERFLOW/EMPTY tallies must match."""
-        from repro.hiddendb.store import using_data_plane
+        from tests.reference_plane import plane_scope
 
         queries = [
             ConjunctiveQuery.root(),
@@ -105,14 +105,14 @@ class TestStats:
         ]
 
         def tallies(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 db = HiddenDatabase(small_schema)
                 fill_random(db, 80, seed=4)
                 interface = TopKInterface(db, k=6)
                 interface.register_attr_order((0, 1, 2))
                 for query in queries:
                     interface.search(query)
-                return interface.stats.as_dict()
+                return interface.stats.to_dict()
 
         columnar = tallies("vectorized")
         assert columnar == tallies("scalar")

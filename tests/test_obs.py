@@ -302,7 +302,6 @@ def test_interface_stats_record_and_to_dict():
     assert stats.to_dict() == {
         "queries": 3, "underflow": 1, "valid": 1, "overflow": 1,
     }
-    assert stats.as_dict() == stats.to_dict()
 
 
 def test_interface_stats_merge():

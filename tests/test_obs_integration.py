@@ -23,6 +23,7 @@ from repro.obs import OBS, set_default_observability
 from repro.service import BudgetGovernor, GovernorConfig, ServiceApp
 
 from test_service_http import _Service, _engine
+from tests.reference_plane import plane_scope
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -40,30 +41,30 @@ def _pristine_obs():
 
 def _run_estimates(observability: bool, backend=None, plane=None,
                    shards=None, rounds: int = 3) -> list[dict]:
-    source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
-    config = EngineConfig(
-        backend=backend,
-        shards=shards,
-        data_plane=plane,
-        k=8,
-        budget_per_round=40,
-        seed=3,
-        observability=observability,
-    )
-    db = HiddenDatabase(
-        source.schema,
-        backend=config.backend,
-        block_size=config.block_size,
-        backend_options=config.backend_factory_options(),
-    )
-    db.insert_many(source.batch_columns(600))
-    engine = Engine(config, db=db)
-    engine.submit(EstimationTask("t", [count_all()], "RS"))
-    estimates = []
-    for _ in range(rounds):
-        estimates.append(engine.run_round()["t"].estimates)
-        engine.advance_round()
-    return estimates
+    with plane_scope(plane):
+        source = skewed_source([8, 10, 6, 4], exponent=0.4, seed=3)
+        config = EngineConfig(
+            backend=backend,
+            shards=shards,
+            k=8,
+            budget_per_round=40,
+            seed=3,
+            observability=observability,
+        )
+        db = HiddenDatabase(
+            source.schema,
+            backend=config.backend,
+            block_size=config.block_size,
+            backend_options=config.backend_factory_options(),
+        )
+        db.insert_many(source.batch_columns(600))
+        engine = Engine(config, db=db)
+        engine.submit(EstimationTask("t", [count_all()], "RS"))
+        estimates = []
+        for _ in range(rounds):
+            estimates.append(engine.run_round()["t"].estimates)
+            engine.advance_round()
+        return estimates
 
 
 # ----------------------------------------------------------------------

@@ -41,6 +41,7 @@ from repro.service.app import ServiceApp
 from repro.service.cli import build_app, build_parser
 from repro.service.governor import BudgetGovernor, GovernorConfig
 from repro.service.protocol import RoundRequest, TaskRequest
+from tests.reference_plane import plane_scope
 
 BACKENDS = ("blocked", "packed", "sharded", "mapped")
 
@@ -48,9 +49,9 @@ BACKENDS = ("blocked", "packed", "sharded", "mapped")
 # ----------------------------------------------------------------------
 # Deterministic churn driver shared by the parity tests
 # ----------------------------------------------------------------------
-def _build_engine(store_dir=None, backend="packed", data_plane=None):
+def _build_engine(store_dir=None, backend="packed"):
     config = EngineConfig(
-        backend=backend, data_plane=data_plane, k=20, budget_per_round=60,
+        backend=backend, k=20, budget_per_round=60,
         seed=7, store_dir=None if store_dir is None else str(store_dir),
     )
     engine = Engine(config, schema=boolean_schema(6, measures=("price",)))
@@ -117,18 +118,40 @@ def test_kill_and_restore_is_bit_identical(backend, tmp_path):
 
 @pytest.mark.parametrize("data_plane", ("vectorized", "scalar"))
 def test_kill_and_restore_parity_across_planes(data_plane, tmp_path):
-    reference, ref_rng = _build_engine(data_plane=data_plane)
-    expected = [_round_dicts(_churn_round(reference, ref_rng))
-                for _ in range(4)]
+    with plane_scope(data_plane):
+        reference, ref_rng = _build_engine()
+        expected = [_round_dicts(_churn_round(reference, ref_rng))
+                    for _ in range(4)]
 
-    durable, rng = _build_engine(tmp_path, data_plane=data_plane)
-    for _ in range(2):
-        _churn_round(durable, rng)
-    durable.save()
-    restored = Engine.load(str(tmp_path))
-    assert restored.config.data_plane == data_plane
-    got = [_round_dicts(_churn_round(restored, rng)) for _ in range(2)]
+        durable, rng = _build_engine(tmp_path)
+        for _ in range(2):
+            _churn_round(durable, rng)
+        durable.save()
+        restored = Engine.load(str(tmp_path))
+        got = [_round_dicts(_churn_round(restored, rng)) for _ in range(2)]
     assert got == expected[2:]
+
+
+def test_snapshot_with_removed_data_plane_field_restores(tmp_path):
+    """A snapshot written while EngineConfig still carried ``data_plane``
+    loads, and its next round equals that of a snapshot without it."""
+    plain_dir, legacy_dir = tmp_path / "plain", tmp_path / "legacy"
+    for store_dir in (plain_dir, legacy_dir):
+        engine, _ = _build_engine(store_dir)
+        _churn_round(engine, random.Random(5))
+        engine.save()
+    manifest = json.loads((legacy_dir / "MANIFEST.json").read_text())
+    state_path = legacy_dir / manifest["directory"] / "state.json"
+    state = json.loads(state_path.read_text())
+    state["config"]["data_plane"] = "scalar"
+    state_path.write_text(json.dumps(state))
+
+    plain = Engine.load(str(plain_dir))
+    legacy = Engine.load(str(legacy_dir))
+    assert legacy.config == plain.config.replace(store_dir=str(legacy_dir))
+    assert _round_dicts(_churn_round(legacy, random.Random(9))) == (
+        _round_dicts(_churn_round(plain, random.Random(9)))
+    )
 
 
 def test_restore_preserves_store_shape_and_round_clock(tmp_path):

@@ -19,7 +19,7 @@ from repro.data.synthetic import skewed_source
 from repro.errors import StaleResultError
 from repro.hiddendb import HiddenDatabase, TopKInterface
 from repro.hiddendb.query import ConjunctiveQuery
-from repro.hiddendb.store import using_data_plane
+from tests.reference_plane import plane_scope
 
 #: Narrow schema: int64 keys, a measure for SUM-path coverage.
 NARROW_DOMAINS = [3, 4, 2]
@@ -36,7 +36,7 @@ def _page(result):
 
 
 def _stats(interface):
-    return interface.stats.as_dict()
+    return interface.stats.to_dict()
 
 
 def _narrow_queries():
@@ -64,7 +64,7 @@ def _wide_queries():
 
 def _run_workload(plane, backend, domains, k, queries, n=2500, rounds=3):
     """Load, query, churn, and re-query one database under a plane."""
-    with using_data_plane(plane):
+    with plane_scope(plane):
         source = skewed_source(
             domains, exponent=0.5, seed=11, measures=("m",),
             measure_sampler=lambda rng: (rng.uniform(0.0, 100.0),),
@@ -123,7 +123,7 @@ class TestQueryPlaneParity:
 
     def test_empty_database_underflows(self):
         for plane in ("vectorized", "scalar"):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source(NARROW_DOMAINS, seed=1)
                 db = HiddenDatabase(source.schema)
                 interface = TopKInterface(db, k=5)
@@ -137,7 +137,7 @@ class TestQueryPlaneParity:
         """Scan queries over a mixed heap (blocks + dict rows) agree."""
 
         def run(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source(
                     NARROW_DOMAINS, seed=5, measures=("m",),
                     measure_sampler=lambda rng: (rng.uniform(0, 10),),
@@ -169,22 +169,20 @@ class TestDeferredPageSemantics:
         return db, interface
 
     def test_valid_result_len_does_not_materialize(self):
-        with using_data_plane("vectorized"):
-            _, interface = self._interface()
-            result = interface.search(ConjunctiveQuery(((0, 0), (1, 3))))
-            if result.valid:
-                assert result.page is not None
-                assert len(result) == result.page.matching
-                assert result._tuples is None  # still deferred
+        _, interface = self._interface()
+        result = interface.search(ConjunctiveQuery(((0, 0), (1, 3))))
+        if result.valid:
+            assert result.page is not None
+            assert len(result) == result.page.matching
+            assert result._tuples is None  # still deferred
 
     def test_stale_valid_page_read_raises(self):
-        with using_data_plane("vectorized"):
-            db, interface = self._interface(n=50, k=200)
-            result = interface.search(ConjunctiveQuery(()))
-            assert result.valid  # k exceeds the database size
-            db.delete(0)  # mutate before the page is read
-            with pytest.raises(StaleResultError):
-                _ = result.tuples
+        db, interface = self._interface(n=50, k=200)
+        result = interface.search(ConjunctiveQuery(()))
+        assert result.valid  # k exceeds the database size
+        db.delete(0)  # mutate before the page is read
+        with pytest.raises(StaleResultError):
+            _ = result.tuples
 
     def test_overflow_page_reads_current_state_like_scalar(self):
         """Overflow loaders re-read at access time on BOTH planes, so a
@@ -192,7 +190,7 @@ class TestDeferredPageSemantics:
         are consumed mid-round by the intra-round driver)."""
 
         def page_after_mutation(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source(NARROW_DOMAINS, seed=3)
                 db = HiddenDatabase(source.schema)
                 db.insert_many(source.batch_columns(200, distinct=False))
@@ -215,7 +213,7 @@ class TestDeferredPageSemantics:
         top match is deleted between query and read."""
 
         def page_after_mutation(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source(NARROW_DOMAINS, seed=3)
                 db = HiddenDatabase(source.schema)
                 db.insert_many(source.batch_columns(200, distinct=False))
@@ -243,7 +241,7 @@ class TestDeferredPageSemantics:
         from repro.hiddendb.session import QuerySession
 
         def run(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source([2, 2], exponent=0.0, seed=1)
                 db = HiddenDatabase(source.schema)
                 db.insert_many(source.batch_columns(80, distinct=False))
@@ -270,36 +268,32 @@ class TestDeferredPageSemantics:
         assert run("vectorized") == run("scalar")
 
     def test_freeze_pins_page_against_mutation(self):
-        with using_data_plane("vectorized"):
-            db, interface = self._interface(n=50, k=200)
-            result = interface.search(ConjunctiveQuery(()))
-            assert result.valid  # k exceeds the database size
-            result.freeze()
-            db.delete(0)
-            # The frozen page reflects pre-mutation state: tid 0 is still
-            # on it, and reading it does not raise.
-            assert 0 in [t.tid for t in result.tuples]
+        db, interface = self._interface(n=50, k=200)
+        result = interface.search(ConjunctiveQuery(()))
+        assert result.valid  # k exceeds the database size
+        result.freeze()
+        db.delete(0)
+        # The frozen page reflects pre-mutation state: tid 0 is still
+        # on it, and reading it does not raise.
+        assert 0 in [t.tid for t in result.tuples]
 
     def test_advance_round_alone_keeps_pages_readable(self):
-        with using_data_plane("vectorized"):
-            db, interface = self._interface()
-            result = interface.search(ConjunctiveQuery(((0, 1),)))
-            db.advance_round()  # no content mutation
-            assert len(result.tuples) == len(result)
+        db, interface = self._interface()
+        result = interface.search(ConjunctiveQuery(((0, 1),)))
+        db.advance_round()  # no content mutation
+        assert len(result.tuples) == len(result)
 
     def test_page_order_matches_tie_break(self):
-        with using_data_plane("vectorized"):
-            _, interface = self._interface(k=100)
-            result = interface.search(ConjunctiveQuery(()))
-            page = result.tuples
-            keys = [(-t.score, t.tid) for t in page]
-            assert keys == sorted(keys)
+        _, interface = self._interface(k=100)
+        result = interface.search(ConjunctiveQuery(()))
+        page = result.tuples
+        keys = [(-t.score, t.tid) for t in page]
+        assert keys == sorted(keys)
 
     def test_gather_unsorted_input_preserves_order(self):
-        with using_data_plane("vectorized"):
-            db, _ = self._interface()
-            tids = np.array([7, 3, 11, 5], dtype=np.int64)
-            rows = db.store.gather(tids)
-            assert rows.batch.tids.tolist() == [7, 3, 11, 5]
-            for row, tid in enumerate(tids):
-                assert rows.materialize_row(row).tid == int(tid)
+        db, _ = self._interface()
+        tids = np.array([7, 3, 11, 5], dtype=np.int64)
+        rows = db.store.gather(tids)
+        assert rows.batch.tids.tolist() == [7, 3, 11, 5]
+        for row, tid in enumerate(tids):
+            assert rows.materialize_row(row).tid == int(tid)

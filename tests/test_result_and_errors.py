@@ -12,8 +12,9 @@ from repro import (
     ReproError,
     SchemaError,
 )
-from repro.hiddendb.result import QueryResult, QueryStatus, top_k_by_score
+from repro.hiddendb.result import QueryResult, QueryStatus
 from repro.hiddendb.tuples import make_tuple
+from tests.reference_plane import top_k_by_score
 
 
 class TestLazyResults:

@@ -40,6 +40,7 @@ from repro.service import (
     ServiceClient,
     ServiceServer,
 )
+from tests.reference_plane import plane_scope
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -57,13 +58,11 @@ def _source(seed: int = 3):
     )
 
 
-def _engine(backend=None, shards=None, plane=None, parallelism=None,
-            n=600, budget=40):
+def _engine(backend=None, shards=None, parallelism=None, n=600, budget=40):
     source = _source()
     config = EngineConfig(
         backend=backend,
         shards=shards,
-        data_plane=plane,
         parallelism=parallelism,
         k=8,
         budget_per_round=budget,
@@ -149,8 +148,8 @@ TENANTS = (("alpha", "RS", 30), ("beta", "REISSUE", 40),
            ("gamma", "RESTART", 20))
 
 
-def _direct_reports(backend, shards, plane, rounds):
-    engine = _engine(backend=backend, shards=shards, plane=plane)
+def _direct_reports(backend, shards, rounds):
+    engine = _engine(backend=backend, shards=shards)
     specs = [count_all(), sum_measure(engine.db.schema, "price")]
     for name, estimator, budget in TENANTS:
         engine.submit(EstimationTask(name, specs, estimator, budget=budget))
@@ -170,31 +169,32 @@ def _direct_reports(backend, shards, plane, rounds):
 def test_http_estimates_bit_identical_to_direct_engine(
     backend, shards, plane
 ):
-    rounds = 2
-    direct = _direct_reports(backend, shards, plane, rounds)
-    app = ServiceApp(_engine(
-        backend=backend, shards=shards, plane=plane, parallelism=2,
-    ))
-    wire_specs = [{"kind": "count"},
-                  {"kind": "sum", "measure": "price"}]
-    with _Service(app) as client:
-        for name, estimator, budget in TENANTS:
-            client.submit(
-                name=name, estimator=estimator, specs=wire_specs,
-                budget=budget,
+    with plane_scope(plane):
+        rounds = 2
+        direct = _direct_reports(backend, shards, rounds)
+        app = ServiceApp(_engine(
+            backend=backend, shards=shards, parallelism=2,
+        ))
+        wire_specs = [{"kind": "count"},
+                      {"kind": "sum", "measure": "price"}]
+        with _Service(app) as client:
+            for name, estimator, budget in TENANTS:
+                client.submit(
+                    name=name, estimator=estimator, specs=wire_specs,
+                    budget=budget,
+                )
+            response = client.run_rounds(
+                rounds=rounds, advance=True, parallel=2,
             )
-        response = client.run_rounds(
-            rounds=rounds, advance=True, parallel=2,
-        )
-    assert len(response["results"]) == rounds
-    for position, result in enumerate(response["results"]):
-        for outcome in result["outcomes"]:
-            assert outcome["status"] == STATUS_OK
-            served = RoundReport.from_dict(outcome["report"])
-            expected = direct[position][outcome["task"]]
-            assert served.estimates == expected.estimates
-            assert served.variances == expected.variances
-            assert served.queries_used == expected.queries_used
+        assert len(response["results"]) == rounds
+        for position, result in enumerate(response["results"]):
+            for outcome in result["outcomes"]:
+                assert outcome["status"] == STATUS_OK
+                served = RoundReport.from_dict(outcome["report"])
+                expected = direct[position][outcome["task"]]
+                assert served.estimates == expected.estimates
+                assert served.variances == expected.variances
+                assert served.queries_used == expected.queries_used
 
 
 def test_reports_and_ledger_match_direct_engine():
@@ -450,25 +450,82 @@ def test_malformed_bodies_and_routes():
             client.request("DELETE", "/v1/tasks")
 
 
-def test_negative_content_length_is_a_400_and_the_server_survives():
+def _raw_status_line(port: int, request: bytes) -> bytes:
+    """Send raw bytes; return the reply's status line (``b""`` when the
+    server closes without answering)."""
     import socket
 
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+        raw.sendall(request)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = raw.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return reply.split(b"\r\n", 1)[0]
+
+
+def test_negative_content_length_is_a_400_and_the_server_survives():
     app = ServiceApp(_engine(n=100))
     with _Service(app) as client:
-        with socket.create_connection(
-            ("127.0.0.1", client.port), timeout=10
-        ) as raw:
-            raw.sendall(
-                b"POST /v1/tasks HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Length: -5\r\n\r\n"
-            )
-            reply = b""
-            while b"\r\n" not in reply:
-                chunk = raw.recv(4096)
-                if not chunk:
-                    break
-                reply += chunk
-        assert reply.split(b"\r\n", 1)[0].split()[1] == b"400"
+        status_line = _raw_status_line(
+            client.port,
+            b"POST /v1/tasks HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: -5\r\n\r\n",
+        )
+        assert status_line.split()[1] == b"400"
+        assert client.health()["schema_version"] == 1
+
+
+def test_oversized_header_line_is_a_400_and_the_server_survives():
+    app = ServiceApp(_engine(n=100))
+    with _Service(app) as client:
+        status_line = _raw_status_line(
+            client.port,
+            b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+            + b"\r\n\r\n",
+        )
+        assert status_line.split()[1] == b"400"
+        assert client.health()["schema_version"] == 1
+
+
+def test_too_many_header_lines_is_a_431_and_the_server_survives():
+    from repro.service.http import MAX_HEADER_LINES
+
+    app = ServiceApp(_engine(n=100))
+    headers = b"".join(
+        b"X-H%d: v\r\n" % index for index in range(MAX_HEADER_LINES + 1)
+    )
+    with _Service(app) as client:
+        status_line = _raw_status_line(
+            client.port,
+            b"GET /v1/healthz HTTP/1.1\r\n" + headers + b"\r\n",
+        )
+        assert status_line.split()[1] == b"431"
+        # Exactly the cap is still served.
+        status_line = _raw_status_line(
+            client.port,
+            b"GET /v1/healthz HTTP/1.1\r\n"
+            + headers.split(b"\r\n", 1)[1] + b"\r\n",
+        )
+        assert status_line.split()[1] == b"200"
+        assert client.health()["schema_version"] == 1
+
+
+def test_stalled_partial_request_is_closed_and_the_server_survives(
+    monkeypatch,
+):
+    import repro.service.http as http_module
+
+    monkeypatch.setattr(http_module, "REQUEST_READ_TIMEOUT", 0.2)
+    app = ServiceApp(_engine(n=100))
+    with _Service(app) as client:
+        # Headers never end: the server must hang up, not wait forever.
+        status_line = _raw_status_line(
+            client.port, b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n"
+        )
+        assert status_line == b""
         assert client.health()["schema_version"] == 1
 
 

@@ -1,7 +1,8 @@
 """Property tests: ``top_k_select`` must equal ``top_k_by_score``.
 
 The columnar query plane selects pages with an ``np.argpartition`` +
-lexsort pass over score/tid vectors; the scalar plane uses a heap over
+lexsort pass over score/tid vectors; the reference plane
+(``tests/reference_plane.py``) uses a heap over
 ``(-score, tid)`` keys.  Both must implement the same total order — score
 descending, tid ascending — for every score distribution hypothesis can
 throw at them: heavy ties, duplicated scores, signed zeros, k = 0, k >= n.
@@ -11,8 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hiddendb.result import top_k_by_score, top_k_select
+from repro.hiddendb.result import top_k_select
 from repro.hiddendb.tuples import HiddenTuple
+from tests.reference_plane import top_k_by_score
 
 
 def _tuples_from(scores):

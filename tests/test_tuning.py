@@ -19,6 +19,7 @@ The contracts under test (see ``docs/tuning.md``):
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,7 @@ from repro.tuning import (
     default_candidates,
     priors_from_baselines,
 )
+from tests.reference_plane import plane_scope
 
 ALGORITHMS = ("RESTART", "REISSUE", "RS")
 
@@ -81,6 +83,16 @@ def test_priors_fall_back_to_defaults():
     assert priors_from_baselines("nonexistent/baselines.json") == (
         DEFAULT_PRIORS
     )
+
+
+def test_default_priors_do_not_depend_on_working_directory(
+    tmp_path, monkeypatch
+):
+    repo_root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(repo_root)
+    from_root = CostModel().priors
+    monkeypatch.chdir(tmp_path)
+    assert CostModel().priors == from_root == DEFAULT_PRIORS
 
 
 def test_priors_use_within_pair_ratios_only():
@@ -207,40 +219,41 @@ def _run_engine(backend, plane, shards=None, migrate_to=None, rounds=4,
                 overlap=False):
     """One seeded multi-tenant churn run, optionally migrating the
     store's backend between rounds; returns every observable output."""
-    source = _fig_source()
-    config = EngineConfig(
-        backend=backend, data_plane=plane, shards=shards, overlap=overlap,
-        k=10, budget_per_round=60, seed=3,
-    )
-    engine = Engine(config, schema=source.schema)
-    engine.load(source.batch_columns(1200))
-    schedule = FreshTupleSchedule(
-        source, inserts_per_round=40, delete_fraction=0.01
-    )
-    for index, algorithm in enumerate(ALGORITHMS):
-        engine.submit(
-            EstimationTask(algorithm, [count_all()], algorithm,
-                           seed=100 + index)
+    with plane_scope(plane):
+        source = _fig_source()
+        config = EngineConfig(
+            backend=backend, shards=shards, overlap=overlap,
+            k=10, budget_per_round=60, seed=3,
         )
-    rng = random.Random(11)
-    outputs = []
-    for position in range(rounds):
-        if position:
-            engine.apply_updates(lambda db: apply_round(db, schedule, rng))
-            engine.advance_round()
-        if migrate_to is not None and position == rounds // 2:
-            target, options = migrate_to
-            engine.apply_updates(
-                lambda db: db.migrate_backend(target, options)
+        engine = Engine(config, schema=source.schema)
+        engine.load(source.batch_columns(1200))
+        schedule = FreshTupleSchedule(
+            source, inserts_per_round=40, delete_fraction=0.01
+        )
+        for index, algorithm in enumerate(ALGORITHMS):
+            engine.submit(
+                EstimationTask(algorithm, [count_all()], algorithm,
+                               seed=100 + index)
             )
-            assert engine.backend == target
-        reports = engine.run_round()
-        outputs.append({
-            name: (report.estimates, report.variances, report.queries_used)
-            for name, report in reports.items()
-        })
-    outputs.append(engine.budget_ledger())
-    return outputs
+        rng = random.Random(11)
+        outputs = []
+        for position in range(rounds):
+            if position:
+                engine.apply_updates(lambda db: apply_round(db, schedule, rng))
+                engine.advance_round()
+            if migrate_to is not None and position == rounds // 2:
+                target, options = migrate_to
+                engine.apply_updates(
+                    lambda db: db.migrate_backend(target, options)
+                )
+                assert engine.backend == target
+            reports = engine.run_round()
+            outputs.append({
+                name: (report.estimates, report.variances, report.queries_used)
+                for name, report in reports.items()
+            })
+        outputs.append(engine.budget_ledger())
+        return outputs
 
 
 #: Each backend migrates to a genuinely different layout mid-run (the

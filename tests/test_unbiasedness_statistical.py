@@ -33,7 +33,7 @@ from repro import (
 )
 from repro.core.variance import mean, sample_variance
 from repro.data.synthetic import skewed_source
-from repro.hiddendb.store import using_data_plane
+from tests.reference_plane import plane_scope
 
 pytestmark = pytest.mark.slow
 
@@ -43,7 +43,7 @@ Z_BOUND = 4.0
 
 
 def _build_db(plane):
-    with using_data_plane(plane):
+    with plane_scope(plane):
         source = skewed_source(
             DOMAINS, exponent=0.4, seed=7, measures=("m",),
             measure_sampler=lambda rng: (rng.uniform(10.0, 50.0),),
@@ -85,7 +85,7 @@ def _assert_within_bounds(estimates, truth, label):
 def test_count_and_sum_round_estimates_unbiased(plane, estimator_cls):
     """Round-1 COUNT and SUM estimates centre on exact ground truth."""
     db = _build_db(plane)
-    with using_data_plane(plane):
+    with plane_scope(plane):
         specs = [count_all(), sum_measure(db.schema, "m")]
         count_truth = float(len(db))
         sum_truth = specs[1].ground_truth(db)
@@ -112,7 +112,7 @@ def test_count_and_sum_round_estimates_unbiased(plane, estimator_cls):
 )
 def test_post_churn_round_estimates_unbiased(plane, estimator_cls):
     """Reissuing estimators stay centred on the *new* round's truth."""
-    with using_data_plane(plane):
+    with plane_scope(plane):
         spec = count_all()
         estimates = []
         for seed in range(TRIALS):
@@ -137,7 +137,7 @@ def test_post_churn_round_estimates_unbiased(plane, estimator_cls):
 def test_planes_produce_identical_estimates(plane):
     """Sanity anchor: a seeded estimator run is deterministic per plane."""
     db = _build_db(plane)
-    with using_data_plane(plane):
+    with plane_scope(plane):
         outputs = []
         for _ in range(2):
             interface = TopKInterface(db, k=60)
@@ -153,7 +153,7 @@ def test_scalar_and_columnar_estimates_bit_identical():
 
     def run(plane):
         db = _build_db(plane)
-        with using_data_plane(plane):
+        with plane_scope(plane):
             interface = TopKInterface(db, k=60)
             estimator = RsEstimator(
                 interface,

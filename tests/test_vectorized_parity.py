@@ -1,7 +1,8 @@
-"""Scalar-vs-vectorized data-plane parity.
+"""Columnar-vs-reference data-plane parity.
 
-The vectorized plane (columnar loads, batch encode, frozen heap blocks)
-must be observationally indistinguishable from the per-tuple plane: same
+The columnar plane (columnar loads, batch encode, frozen heap blocks)
+must be observationally indistinguishable from the per-tuple reference
+plane (``tests/reference_plane.py``): same
 tids, same values, same measures, same ranking scores, byte-identical
 query results — on every storage backend.
 """
@@ -15,7 +16,7 @@ from repro.data.schedules import FreshTupleSchedule, apply_round
 from repro.data.synthetic import skewed_source
 from repro.hiddendb import HiddenDatabase, TopKInterface
 from repro.hiddendb.query import ConjunctiveQuery
-from repro.hiddendb.store import get_data_plane, using_data_plane
+from tests.reference_plane import plane_scope
 
 #: A fig12-style schema scaled down: wide enough that keys exceed 64 bits.
 WIDE_DOMAINS = [2 + (i % 7) for i in range(20)]
@@ -37,7 +38,7 @@ def _page_snapshot(result):
 
 def _run_workload(plane, backend, domains, rounds=4):
     """Load, churn, and query one database under the given data plane."""
-    with using_data_plane(plane):
+    with plane_scope(plane):
         source = skewed_source(domains, exponent=0.4, seed=3)
         db = HiddenDatabase(source.schema, backend=backend)
         db.insert_many(source.batch_columns(3000, distinct=False))
@@ -77,7 +78,22 @@ class TestLoadAndQueryParity:
         assert vector_pages == scalar_pages
 
     def test_default_plane_is_vectorized(self):
-        assert get_data_plane() in ("vectorized", "scalar")
+        # Outside reference_plane() a load stays columnar: heap blocks,
+        # no per-tuple dict rows.
+        source = skewed_source(NARROW_DOMAINS, seed=2)
+        db = HiddenDatabase(source.schema)
+        db.insert_many(source.batch_columns(50, distinct=False))
+        assert db.store._blocks and not db.store._tuples
+
+    def test_reference_plane_loads_per_tuple_and_restores(self):
+        original = TopKInterface._node_result
+        source = skewed_source(NARROW_DOMAINS, seed=2)
+        with plane_scope("scalar"):
+            assert TopKInterface._node_result is not original
+            db = HiddenDatabase(source.schema)
+            db.insert_many(source.batch_columns(50, distinct=False))
+            assert db.store._tuples and not db.store._blocks
+        assert TopKInterface._node_result is original
 
     def test_payload_list_and_batch_loads_agree(self):
         source_a = skewed_source(NARROW_DOMAINS, exponent=0.6, seed=9)
@@ -92,7 +108,7 @@ class TestLoadAndQueryParity:
         # A batch arriving after per-tuple inserts must not iterate ahead
         # of them (blocks come first), so it takes the per-tuple path.
         def population(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source(NARROW_DOMAINS, seed=2)
                 db = HiddenDatabase(source.schema)
                 db.insert(b"\x01\x02\x01")
@@ -127,7 +143,7 @@ class TestLoadAndQueryParity:
         mrng = pyrandom.Random(11)
 
         def truth(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source(
                     NARROW_DOMAINS, measures=("m",),
                     measure_sampler=lambda rng: (rng.uniform(0, 1e16),),
@@ -146,7 +162,7 @@ class TestLoadAndQueryParity:
 
     def test_random_tids_identical_across_planes(self):
         def population(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source(NARROW_DOMAINS, seed=2)
                 db = HiddenDatabase(source.schema)
                 db.insert_many(source.batch_columns(500, distinct=False))
@@ -159,12 +175,9 @@ class TestLoadAndQueryParity:
 
 class TestBlockHeapSemantics:
     def _loaded_db(self, n=400):
-        # Force the vectorized plane: these tests exercise block-heap
-        # internals and must not depend on the ambient REPRO_DATA_PLANE.
-        with using_data_plane("vectorized"):
-            source = skewed_source(NARROW_DOMAINS, seed=7)
-            db = HiddenDatabase(source.schema)
-            db.insert_many(source.batch_columns(n, distinct=False))
+        source = skewed_source(NARROW_DOMAINS, seed=7)
+        db = HiddenDatabase(source.schema)
+        db.insert_many(source.batch_columns(n, distinct=False))
         return db
 
     def test_get_materializes_block_rows(self):
@@ -220,7 +233,7 @@ class TestBlockHeapSemantics:
 
     def test_random_tids_parity_survives_measure_drift(self):
         def sample(plane):
-            with using_data_plane(plane):
+            with plane_scope(plane):
                 source = skewed_source(
                     NARROW_DOMAINS, measures=("m",),
                     measure_sampler=lambda rng: (1.0,), seed=7,
